@@ -115,10 +115,12 @@ def run_borel_validity(seed: int = 42, quick: bool = False) -> CriterionResult:
     )
 
 
-def run_sizebias_mixture(seed: int = 42, quick: bool = False) -> CriterionResult:
+def run_sizebias_mixture(
+    seed: int = 42, quick: bool = False, *, grid=LAMBDA_GRID
+) -> CriterionResult:
     """2: size-biased law vs the Bernoulli(lambda) mixture construction."""
     rows, worst = [], 0.0
-    for lam in LAMBDA_GRID:
+    for lam in grid:
         p = BorelParams(lam)
         L = borel.law(p, 1e-10)
         star = sizebias.size_bias(L)
@@ -136,10 +138,12 @@ def run_sizebias_mixture(seed: int = 42, quick: bool = False) -> CriterionResult
     )
 
 
-def run_sizebias_geometric(seed: int = 42, quick: bool = False) -> CriterionResult:
+def run_sizebias_geometric(
+    seed: int = 42, quick: bool = False, *, grid=LAMBDA_GRID
+) -> CriterionResult:
     """3: geometric-sum reconstruction vs a finely resolved size-biased law."""
     rows, worst = [], 0.0
-    for lam in LAMBDA_GRID:
+    for lam in grid:
         p = BorelParams(lam)
         geo = sizebias.geometric_sum_law(p, 1e-10)
         ref = sizebias.size_bias(borel.law(p, REFERENCE_EPS))
@@ -156,22 +160,24 @@ def run_sizebias_geometric(seed: int = 42, quick: bool = False) -> CriterionResu
     )
 
 
-def run_stein_envelope(seed: int = 42, quick: bool = False) -> CriterionResult:
+def run_stein_envelope(
+    seed: int = 42, quick: bool = False, *, grid=LAMBDA_GRID, M: int = 60
+) -> CriterionResult:
     """4: every table entry within its coefficient envelope, slack 1e-12."""
     rows, worst = [], -math.inf
-    for lam in LAMBDA_GRID:
+    for lam in grid:
         p = BorelParams(lam)
-        t = stein.build_table(p, 60)
-        q = borel.pmf_values(p, 60)
+        t = stein.build_table(p, M)
+        q = borel.pmf_values(p, M)
         excess = -math.inf
-        for k in range(2, 61):
-            j = np.arange(1, 61 - k)
+        for k in range(2, M + 1):
+            j = np.arange(1, M + 1 - k)
             if j.size == 0:
                 continue
             envelope = j * lam * q[j - 1] / (k - 1)
-            excess = max(excess, float(np.max(np.abs(t.a[k, k + 1 : 61]) - envelope)))
+            excess = max(excess, float(np.max(np.abs(t.a[k, k + 1 : M + 1]) - envelope)))
         worst = max(worst, excess)
-        rows.append([lam, 60, excess])
+        rows.append([lam, M, excess])
     return _result(
         "4",
         "coefficient envelope |a[k,k+j]| <= j lam q(j)/(k-1) (slack 1e-12)",
@@ -200,24 +206,26 @@ def run_abel(seed: int = 42, quick: bool = False) -> CriterionResult:
     )
 
 
-def run_stein_residual(seed: int = 42, quick: bool = False) -> CriterionResult:
-    """6: equation defect <= 1e-7 for random bounded h, k <= 30, M = 120."""
+def run_stein_residual(
+    seed: int = 42, quick: bool = False, *, grid=(0.3, 0.5, 0.7), M: int = 120
+) -> CriterionResult:
+    """6: equation defect <= 1e-7 for random bounded h, k <= 30 (and k < M)."""
     rows, worst = [], 0.0
     n_h = 20
-    for cell, lam in enumerate((0.3, 0.5, 0.7)):
+    for cell, lam in enumerate(grid):
         rng = task_rng(seed, 6, cell)
-        table = stein.build_table(BorelParams(lam), 120)
+        table = stein.build_table(BorelParams(lam), M)
         cell_worst = 0.0
         for _ in range(n_h):
-            h = rng.uniform(-1.0, 1.0, size=120)
+            h = rng.uniform(-1.0, 1.0, size=M)
             sol = stein.solve_f(h, table)
-            for k in range(2, 31):
+            for k in range(2, min(31, M)):
                 cell_worst = max(cell_worst, stein.stein_residual(sol, h, k).residual)
         worst = max(worst, cell_worst)
-        rows.append([lam, 120, n_h, cell_worst])
+        rows.append([lam, M, n_h, cell_worst])
     return _result(
         "6",
-        "Stein equation residual <= 1e-7 (20 random h, k <= 30, M = 120)",
+        f"Stein equation residual <= 1e-7 (20 random h, k <= 30, M = {M})",
         worst,
         1e-7,
         ["lambda", "M", "n_test_functions", "max_residual"],
@@ -225,19 +233,21 @@ def run_stein_residual(seed: int = 42, quick: bool = False) -> CriterionResult:
     )
 
 
-def run_stein_supnorm(seed: int = 42, quick: bool = False) -> CriterionResult:
+def run_stein_supnorm(
+    seed: int = 42, quick: bool = False, *, grid=LAMBDA_GRID, M: int = 60
+) -> CriterionResult:
     """7: solution sup bounded by (1-lam)^-2 plus tracked truncation error."""
     rows, worst = [], -math.inf
     n_h = 100
-    for cell, lam in enumerate(LAMBDA_GRID):
+    for cell, lam in enumerate(grid):
         rng = task_rng(seed, 7, cell)
-        table = stein.build_table(BorelParams(lam), 60)
+        table = stein.build_table(BorelParams(lam), M)
         cap = 1.0 / (1.0 - lam) ** 2
-        k = np.arange(2, 61)
+        k = np.arange(2, M + 1)
         sharper = 1.0 / ((1.0 - lam) ** 2 * (k - 1))
         excess = -math.inf
         for _ in range(n_h):
-            h = rng.random(60)  # values in [0, 1], sup norm <= 1
+            h = rng.random(M)  # values in [0, 1], sup norm <= 1
             sol = stein.solve_f(h, table)
             fv = np.abs(sol.f[2:])
             slack = sol.trunc_error[2:]
@@ -386,10 +396,12 @@ def run_queue_bounds(seed: int = 42, quick: bool = False) -> CriterionResult:
     )
 
 
-def run_concentration(seed: int = 42, quick: bool = False) -> CriterionResult:
+def run_concentration(
+    seed: int = 42, quick: bool = False, *, grid=LAMBDA_GRID
+) -> CriterionResult:
     """11: exact tails under the bounds; breakpoint continuity; moment caps."""
     rows, worst = [], -math.inf
-    for lam in LAMBDA_GRID:
+    for lam in grid:
         p = BorelParams(lam)
         limit = concentration.delta_limit(lam)
         params_mid = concentration.make_params(lam, limit / 2.0)
@@ -451,10 +463,12 @@ def run_concentration(seed: int = 42, quick: bool = False) -> CriterionResult:
     )
 
 
-def run_aux_facts(seed: int = 42, quick: bool = False) -> CriterionResult:
+def run_aux_facts(
+    seed: int = 42, quick: bool = False, *, grid=LAMBDA_GRID
+) -> CriterionResult:
     """12: mean-gap formula and the shifted-Poisson vs geometric CDF order."""
     rows, worst = [], 0.0
-    for lam in LAMBDA_GRID:
+    for lam in grid:
         p = BorelParams(lam)
         L = borel.law(p, 1e-12)
         gap = moments(sizebias.size_bias(L)).mean - moments(L).mean
@@ -488,15 +502,16 @@ ALL_SUITES = [
 ]
 
 
-def run_all(seed: int = 42, quick: bool = False, max_workers: int = 1):
-    """Run every suite; parallel over suites when ``max_workers`` > 1.
+def run_all(seed: int = 42, quick: bool = False, max_workers: int = 1, suites=None):
+    """Run ``suites`` (default ``ALL_SUITES``), in parallel if ``max_workers`` > 1.
 
-    Output order is fixed by suite id, never by completion order.
+    Output follows the order of ``suites``, never completion order.
     """
+    suites = ALL_SUITES if suites is None else suites
     if max_workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {cid: pool.submit(fn, seed, quick) for cid, fn in ALL_SUITES}
-            return [futures[cid].result() for cid, _ in ALL_SUITES]
-    return [fn(seed, quick) for _, fn in ALL_SUITES]
+            futures = [pool.submit(fn, seed, quick) for _, fn in suites]
+            return [f.result() for f in futures]
+    return [fn(seed, quick) for _, fn in suites]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -25,6 +26,10 @@ from .errors import InvalidIndex, WindowOverflow
 from .lawkit import TruncatedLaw, _trusted
 
 DEFAULT_WINDOW_CAP = 10_000_000
+# below machine epsilon, 1 - eps rounds so close to 1 that no window sum certifies it
+MIN_EPS = float(np.finfo(float).eps)
+# accuracy to which tail sums of q(j) and j q(j) are resolved by default
+_TAIL_REPORT_TOL = 1e-14
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # largest j computed with the naive formula; above it the Stirling path is
@@ -54,23 +59,6 @@ class BorelParams:
     def decay_rate(self) -> float:
         """Exponential decay rate of the pmf: lambda - 1 - log(lambda) > 0."""
         return self.lam - 1.0 - math.log(self.lam)
-
-
-class Censored:
-    """Sentinel for a draw that exceeded the simulation cap."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "CENSORED"
-
-
-CENSORED = Censored()
 
 
 def mean(p: BorelParams) -> float:
@@ -121,15 +109,48 @@ def pmf_values(p: BorelParams, M: int) -> np.ndarray:
     return np.exp(_log_pmf_array(p.lam, np.arange(1.0, M + 1.0)))
 
 
+@lru_cache(maxsize=64)
+def _pmf_suffix_sums(lam: float, tol: float = _TAIL_REPORT_TOL, min_size: int = 0):
+    """Suffix sums of q(j) and j*q(j), indexed by cutoff W, with remainders.
+
+    ``sums_q[W]`` bounds ``sum_{j > W} q(j)`` from above (same for j*q);
+    the window extends until the geometric-ratio bound
+    ``q(j+1) <= exp(-decay_rate) q(j)`` certifies the uncomputed part of
+    ``sum j q(j)`` below ``tol``, and that remainder is folded into every
+    entry so the reported sums stay upper bounds.
+    """
+    p = BorelParams(lam)
+    r = math.exp(-p.decay_rate)
+    size = 1024
+    while size < min_size:
+        size *= 2
+    while True:
+        q = pmf_values(p, size)
+        rem_jq = q[-1] * (size * r / (1.0 - r) + r / (1.0 - r) ** 2)
+        if rem_jq <= tol:
+            break
+        size *= 2
+    rem_q = q[-1] * r / (1.0 - r)
+    jq = np.arange(1.0, size + 1.0) * q
+    cum_q, cum_jq = np.cumsum(q), np.cumsum(jq)
+    sums_q = np.concatenate([[cum_q[-1]], cum_q[-1] - cum_q]) + rem_q
+    sums_jq = np.concatenate([[cum_jq[-1]], cum_jq[-1] - cum_jq]) + rem_jq
+    sums_q.setflags(write=False)
+    sums_jq.setflags(write=False)
+    return sums_q, sums_jq
+
+
 def law(p: BorelParams, eps: float, cap: int = DEFAULT_WINDOW_CAP) -> TruncatedLaw:
     """Smallest truncated law whose window holds at least ``1 - eps`` mass.
 
     The tail mass is the exact complement of the window sum.  Raises
     ``WindowOverflow`` when more than ``cap`` window points would be needed,
     which signals that ``lam`` is too close to 1 for the requested ``eps``.
+    An ``eps`` below ``MIN_EPS`` is rejected: no double-precision window sum
+    can certify it.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if not MIN_EPS <= eps < 1.0:
+        raise ValueError(f"eps must lie in [{MIN_EPS:g}, 1), got {eps}")
     target = 1.0 - eps
     size = 512
     while True:
@@ -148,21 +169,6 @@ def law(p: BorelParams, eps: float, cap: int = DEFAULT_WINDOW_CAP) -> TruncatedL
                 f"window cap {cap} too small for lambda={p.lam}, eps={eps}"
             )
         size *= 2
-
-
-def poisson_draw(rng: np.random.Generator, mu: float) -> int:
-    """Poisson draw by CDF inversion; consumes exactly one uniform."""
-    u = rng.random()
-    k = 0
-    prob = math.exp(-mu)
-    cum = prob
-    # cum approaches 1 - O(1e-16); the guard stops pathological float stalls
-    limit = int(mu + 40.0 * math.sqrt(mu + 1.0) + 60.0)
-    while u > cum and k < limit:
-        k += 1
-        prob *= mu / k
-        cum += prob
-    return k
 
 
 def poisson_draw_vec(rng: np.random.Generator, mu: np.ndarray) -> np.ndarray:
@@ -184,27 +190,6 @@ def poisson_draw_vec(rng: np.random.Generator, mu: np.ndarray) -> np.ndarray:
         cum[active] += prob[active]
         active &= u > cum
     return k
-
-
-def sample(
-    p: BorelParams, rng: np.random.Generator, cap: int = DEFAULT_WINDOW_CAP
-) -> int | Censored:
-    """One total-progeny draw via the branching recursion.
-
-    Walks the population frontier: one initial individual, each service of a
-    pending individual adds a fresh Poisson(lambda) batch.  Returns the total
-    count, or ``CENSORED`` once the total would exceed ``cap``.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    total = 1
-    pending = poisson_draw(rng, p.lam)
-    while pending > 0:
-        if total + 1 > cap:
-            return CENSORED
-        pending += poisson_draw(rng, p.lam) - 1
-        total += 1
-    return total
 
 
 def sample_many(

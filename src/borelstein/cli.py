@@ -3,23 +3,33 @@
 Subcommands::
 
     pmf           adaptive pmf/cdf table for one lambda
-    stein-check   coefficient, residual, sup-norm, and Abel suites
-    sb-check      size-bias identity cross-checks over a lambda grid
+    stein-check   acceptance suites 4-7: envelope, Abel, residual, sup-norm
+    sb-check      acceptance suites 2, 3, 12: size-bias identities
     queue-sim     seeded busy-period simulation with bound columns
     queue-bounds  bound columns only (no simulation)
-    tails         exact tails vs lower/upper bounds
-    report        every verification suite; CSVs plus a JSON summary
+    tails         acceptance suite 11: exact tails vs lower/upper bounds
+    report        every acceptance suite; CSVs plus a JSON summary
+
+The check commands and ``report`` run the acceptance suites through one
+runner at the suites' own thresholds; ``--lambda``/``--lambda-grid`` narrow
+the rate grid and ``--table-size`` sets M of suites 4, 6, 7.  ``--out DIR``
+(``report``: default ``report_out``) gets ``crit_XX_<slug>.csv`` per
+criterion plus ``summary.json``; ``stein-check --lambda L`` adds
+``stein_table.csv``.  ``sb-check`` ignores ``--eps``: suites 2 and 3 keep
+the 1e-10 / 1e-13 targets their 1e-8 thresholds were calibrated for.
 
 Every command is deterministic given its flags and ``--seed``; floats are
 printed with 17 significant digits so output round-trips exactly.  Exit
-codes: 0 all checks pass, 1 an assertion failed, 2 usage error, 3 numeric
-failure (window overflow, quadrature, or series divergence).
-``BOREL_STEIN_THREADS`` caps suite parallelism in ``report``.
+codes: 0 all checks pass, 1 an assertion failed, 2 usage error (also an
+``--eps`` below machine epsilon, a non-integer ``BOREL_STEIN_THREADS``), 3
+numeric failure (window overflow, quadrature, or series divergence).
+``BOREL_STEIN_THREADS`` caps suite parallelism of the suite runner.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, borel, concentration, mg1, sizebias, stein
+from . import acceptance, borel, mg1, stein
 from .borel import BorelParams
 from .errors import (
     BorelSteinError,
@@ -36,7 +46,7 @@ from .errors import (
     SumDivergenceGuard,
     WindowOverflow,
 )
-from .lawkit import moments, tv_distance
+from .lawkit import tv_distance
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -85,7 +95,8 @@ def _write_table(columns, rows, out: str | None, fmt: str) -> None:
         sys.stdout.write(text)
 
 
-def _parse_lambda_grid(args, parser, default_grid=None):
+def _parse_lambda_grid(args, parser):
+    """The rates from ``--lambda`` or ``--lambda-grid``; None when neither is given."""
     if args.lam is not None and args.lambda_grid:
         parser.error("give either --lambda or --lambda-grid, not both")
     if args.lam is not None:
@@ -96,9 +107,7 @@ def _parse_lambda_grid(args, parser, default_grid=None):
         except ValueError:
             parser.error(f"cannot parse --lambda-grid {args.lambda_grid!r}")
     else:
-        grid = list(default_grid) if default_grid else None
-        if grid is None:
-            parser.error("one of --lambda or --lambda-grid is required")
+        return None
     for lam in grid:
         if not 0.0 < lam < 1.0:
             parser.error(f"lambda must lie strictly in (0, 1), got {lam}")
@@ -151,7 +160,7 @@ def _service_fields(s: mg1.ServiceModel):
 
 def cmd_pmf(args, parser) -> int:
     grid = _parse_lambda_grid(args, parser)
-    if len(grid) != 1:
+    if grid is None or len(grid) != 1:
         parser.error("pmf expects a single --lambda")
     p = BorelParams(grid[0])
     L = borel.law(p, args.eps, cap=args.cap)
@@ -159,118 +168,6 @@ def cmd_pmf(args, parser) -> int:
     rows = [[j, L.probs[j - 1], cdf[j - 1]] for j in range(1, L.end + 1)]
     _write_table(["j", "pmf", "cdf"], rows, args.out, args.format)
     return EXIT_OK
-
-
-def cmd_stein_check(args, parser) -> int:
-    grid = _parse_lambda_grid(args, parser, default_grid=acceptance.LAMBDA_GRID)
-    M = args.table_size
-    if M < 3:
-        parser.error("--table-size must be at least 3")
-    if args.out and len(grid) != 1:
-        parser.error("--out exports one coefficient table; give a single --lambda")
-    failures = []
-    for lam in grid:
-        p = BorelParams(lam)
-        table = stein.build_table(p, M)
-        q = borel.pmf_values(p, M)
-        for k in range(2, M + 1):
-            if abs(table.a[k, k] - 1.0 / (k - 1)) > 1e-15:
-                failures.append(f"diagonal(lambda={lam},k={k})")
-                break
-        for k in range(2, M + 1):
-            j = np.arange(1, M + 1 - k)
-            if j.size == 0:
-                continue
-            envelope = j * lam * q[j - 1] / (k - 1)
-            bad = np.abs(table.a[k, k + 1 : M + 1]) > envelope + 1e-12
-            if bad.any():
-                m = k + 1 + int(np.argmax(bad))
-                failures.append(f"envelope(lambda={lam},k={k},m={m})")
-                break
-        rng = acceptance.task_rng(args.seed, 101, int(lam * 1000))
-        for rep in range(5):
-            h = rng.uniform(-1.0, 1.0, size=M)
-            sol = stein.solve_f(h, table)
-            for k in range(2, min(31, M)):
-                if stein.stein_residual(sol, h, k).residual > 1e-7:
-                    failures.append(f"residual(lambda={lam},rep={rep},k={k})")
-                    break
-        cap = 1.0 / (1.0 - lam) ** 2
-        for rep in range(20):
-            h = rng.random(M)
-            sol = stein.solve_f(h, table)
-            overshoot = np.abs(sol.f[2:]) - (cap + sol.trunc_error[2:] + 1e-12)
-            if (overshoot > 0).any():
-                failures.append(f"supnorm(lambda={lam},rep={rep})")
-                break
-        if args.out:
-            rows = []
-            for k in range(2, M + 1):
-                for m in range(k, M + 1):
-                    bound = (
-                        1.0 / (k - 1)
-                        if m == k
-                        else (m - k) * lam * q[m - k - 1] / (k - 1)
-                    )
-                    rows.append([k, m, table.a[k, m], bound])
-            _write_table(["k", "m", "a_km", "lemma1_bound"], rows, args.out, args.format)
-    for j in range(1, 61):
-        if stein.abel_sum(j) != j**j:
-            failures.append(f"abel(j={j})")
-    if failures:
-        print(f"FAIL: {failures[0]}" + (f" (+{len(failures) - 1} more)" if len(failures) > 1 else ""), file=sys.stderr)
-        return EXIT_ASSERTION
-    print(f"stein-check: all checks passed (lambda grid {grid}, M={M})")
-    return EXIT_OK
-
-
-def cmd_sb_check(args, parser) -> int:
-    grid = _parse_lambda_grid(args, parser, default_grid=acceptance.LAMBDA_GRID)
-    rows, ok = [], True
-    for lam in grid:
-        p = BorelParams(lam)
-        L = borel.law(p, args.eps)
-        star = sizebias.size_bias(L)
-        rhs = sizebias.mixture_rhs(L, star, p, args.eps)
-        eq4 = tv_distance(star, rhs)
-        eq4_budget = 10.0 * (
-            L.tail_mass + rhs.tail_mass + sizebias.size_bias_tail_estimate(L)
-        )
-        ref = sizebias.size_bias(borel.law(p, acceptance.REFERENCE_EPS))
-        geo = sizebias.geometric_sum_law(p, args.eps)
-        rem1 = tv_distance(ref, geo)
-        rem1_budget = 10.0 * (
-            geo.tail_mass
-            + sizebias.size_bias_tail_estimate(borel.law(p, acceptance.REFERENCE_EPS))
-            + args.eps
-        )
-        gap = moments(star).mean - moments(L).mean
-        x_rel = abs(gap - sizebias.x_mean(p)) / sizebias.x_mean(p)
-        order_ok = sizebias.check_stochastic_order(p, 500)
-        ok &= (
-            eq4.upper <= eq4_budget
-            and rem1.upper <= rem1_budget
-            and x_rel <= 1e-5
-            and order_ok
-        )
-        rows.append(
-            [lam, eq4.upper, eq4_budget, rem1.upper, rem1_budget, x_rel, int(order_ok)]
-        )
-    _write_table(
-        [
-            "lambda",
-            "eq_mixture_upper",
-            "eq_mixture_budget",
-            "geometric_upper",
-            "geometric_budget",
-            "x_mean_rel_err",
-            "order_ok",
-        ],
-        rows,
-        args.out,
-        args.format,
-    )
-    return EXIT_OK if ok else EXIT_ASSERTION
 
 
 QUEUE_COLUMNS = [
@@ -307,7 +204,7 @@ def _queue_row(lam, service, n, censored, tv_lo, tv_hi):
 
 
 def cmd_queue_sim(args, parser) -> int:
-    grid = _parse_lambda_grid(args, parser, default_grid=acceptance.QUEUE_LAMBDAS)
+    grid = _parse_lambda_grid(args, parser) or acceptance.QUEUE_LAMBDAS
     services = _services_from(args, parser)
     rows = []
     cell = 0
@@ -332,7 +229,7 @@ def cmd_queue_sim(args, parser) -> int:
 
 
 def cmd_queue_bounds(args, parser) -> int:
-    grid = _parse_lambda_grid(args, parser, default_grid=acceptance.QUEUE_LAMBDAS)
+    grid = _parse_lambda_grid(args, parser) or acceptance.QUEUE_LAMBDAS
     services = _services_from(args, parser)
     rows = []
     for lam in sorted(grid):
@@ -347,77 +244,97 @@ def cmd_queue_bounds(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_tails(args, parser) -> int:
-    grid = _parse_lambda_grid(args, parser, default_grid=acceptance.LAMBDA_GRID)
-    rows, ok = [], True
-    for lam in sorted(grid):
-        p = BorelParams(lam)
-        for t in acceptance.T_GRID:
-            low = concentration.exact_tail(p, t, "lower")
-            lb = concentration.lower_tail_bound(t)
-            ok &= low.value <= lb
-            rows.append([lam, t, "lower", low.value, low.error_bar, lb, None, None, None])
-            choice = concentration.optimize_delta(lam, t)
-            params = concentration.make_params(lam, choice.delta)
-            up = concentration.exact_tail(p, t, "upper")
-            ok &= up.value <= choice.bound + up.error_bar
-            rows.append(
-                [
-                    lam,
-                    t,
-                    "upper",
-                    up.value,
-                    up.error_bar,
-                    choice.bound,
-                    choice.delta,
-                    params.gamma,
-                    params.K,
-                ]
-            )
-    _write_table(
-        ["lambda", "t", "side", "exact", "exact_err", "bound", "delta_used", "gamma", "K"],
-        rows,
-        args.out,
-        args.format,
-    )
-    return EXIT_OK if ok else EXIT_ASSERTION
+def _run_suites(args, parser, suite_kwargs, default_out=None) -> int:
+    """Run the suites keyed in ``suite_kwargs`` (id -> ``grid``/``M`` keywords).
 
-
-def cmd_report(args, parser) -> int:
-    out_dir = Path(args.out or "report_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get("BOREL_STEIN_THREADS", "1") or "1")
-    results = acceptance.run_all(seed=args.seed, quick=args.quick, max_workers=max(workers, 1))
-    summary = {
-        "seed": args.seed,
-        "quick": bool(args.quick),
-        "criteria": [
-            {
-                "criterion_id": r.criterion_id,
-                "status": r.status,
-                "observed": r.observed,
-                "threshold": r.threshold,
-            }
-            for r in results
-        ],
-    }
-    for r in results:
-        slug = SUITE_SLUGS[r.criterion_id]
-        path = out_dir / f"crit_{int(r.criterion_id):02d}_{slug}.csv"
-        lines = [",".join(r.columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in r.rows]
-        path.write_text("\n".join(lines) + "\n")
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    Suites come from ``acceptance.ALL_SUITES`` at call time, via
+    ``acceptance.run_all``.  Prints a status line per criterion and writes
+    the CSVs and ``summary.json`` to ``--out`` (else ``default_out``).
+    """
+    threads = os.environ.get("BOREL_STEIN_THREADS", "1") or "1"
+    try:
+        workers = int(threads)
+    except ValueError:
+        parser.error(f"BOREL_STEIN_THREADS must be an integer, got {threads!r}")
+    suites = [
+        (cid, functools.partial(fn, **suite_kwargs[cid]))
+        for cid, fn in acceptance.ALL_SUITES
+        if cid in suite_kwargs
+    ]
+    results = acceptance.run_all(
+        seed=args.seed, quick=args.quick, max_workers=max(workers, 1), suites=suites
     )
-    all_pass = all(r.passed for r in results)
+    out = args.out or default_out
+    if out:
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for r in results:
+            slug = SUITE_SLUGS[r.criterion_id]
+            path = out_dir / f"crit_{int(r.criterion_id):02d}_{slug}.csv"
+            _write_table(r.columns, r.rows, path, "csv")
+        summary = {
+            "seed": args.seed,
+            "quick": bool(args.quick),
+            "criteria": [
+                {
+                    "criterion_id": r.criterion_id,
+                    "status": r.status,
+                    "observed": r.observed,
+                    "threshold": r.threshold,
+                }
+                for r in results
+            ],
+        }
+        (out_dir / "summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        )
     for r in results:
         print(
             f"[{r.status.upper():4s}] criterion {r.criterion_id:>2s}: {r.title} "
             f"(observed {_fmt(r.observed)}, threshold {_fmt(r.threshold)})"
         )
-    print(f"report written to {out_dir}")
-    return EXIT_OK if all_pass else EXIT_ASSERTION
+    if out:
+        print(f"report written to {out}")
+    return EXIT_OK if all(r.passed for r in results) else EXIT_ASSERTION
+
+
+def _narrowed(args, parser, suite_ids, **extra) -> dict:
+    """Per-suite keyword arguments: the ``--lambda`` grid, if given, plus ``extra``."""
+    grid = _parse_lambda_grid(args, parser)
+    kwargs = extra if grid is None else {"grid": grid, **extra}
+    return {cid: kwargs for cid in suite_ids}
+
+
+def cmd_stein_check(args, parser) -> int:
+    M = args.table_size
+    if M < 3:
+        parser.error("--table-size must be at least 3")
+    suites = {"5": {}, **_narrowed(args, parser, ("4", "6", "7"), M=M)}
+    code = _run_suites(args, parser, suites)
+    if args.out and args.lam is not None:
+        p = BorelParams(args.lam)
+        a = stein.build_table(p, M).a
+        rows = [
+            [k, m, a[k, m], stein.coefficient_bound(p, k, m - k)]
+            for k in range(2, M + 1)
+            for m in range(k, M + 1)
+        ]
+        table = Path(args.out) / "stein_table.csv"
+        _write_table(["k", "m", "a_km", "lemma1_bound"], rows, table, "csv")
+    return code
+
+
+def cmd_sb_check(args, parser) -> int:
+    return _run_suites(args, parser, _narrowed(args, parser, ("2", "3", "12")))
+
+
+def cmd_tails(args, parser) -> int:
+    return _run_suites(args, parser, _narrowed(args, parser, ("11",)))
+
+
+def cmd_report(args, parser) -> int:
+    every = {cid: {} for cid, _ in acceptance.ALL_SUITES}
+    return _run_suites(args, parser, every, default_out="report_out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="censoring cap / window cap")
         sp.add_argument("--table-size", type=int, default=60,
                         help="coefficient-table window M")
-        sp.add_argument("--out", default=None, help="output file (or report directory)")
+        sp.add_argument("--out", default=None,
+                        help="output file (pmf, queue-*) or directory (checks, report)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--quick", action="store_true",
                         help="reduced sample sizes for fast runs")
@@ -477,8 +395,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.eps is not None and not 0.0 < args.eps < 1.0:
-        parser.error(f"--eps must lie in (0, 1), got {args.eps}")
+    if args.eps is not None and not borel.MIN_EPS <= args.eps < 1.0:
+        parser.error(f"--eps must lie in [{borel.MIN_EPS:g}, 1), got {args.eps}")
     if args.n is not None and args.n < 1:
         parser.error("--n must be >= 1")
     try:

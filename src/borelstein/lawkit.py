@@ -138,17 +138,26 @@ def point_mass(j: int) -> TruncatedLaw:
     return TruncatedLaw(start=j, probs=np.array([1.0]), tail_mass=0.0)
 
 
+def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two nonnegative mass vectors.
+
+    Direct for small inputs, by FFT above ``_DIRECT_CONV_LIMIT``; the FFT's
+    round-off can dip below zero, so its output is clamped at 0.
+    """
+    if a.size * b.size <= _DIRECT_CONV_LIMIT:
+        return np.convolve(a, b)
+    out = fftconvolve(a, b)
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
 def convolve(a: TruncatedLaw, b: TruncatedLaw) -> TruncatedLaw:
     """Law of the sum of independent draws from ``a`` and ``b``.
 
     The result window spans every sum of window points; all cross terms
     involving either tail land in the result's ``tail_mass``.
     """
-    if a.size * b.size <= _DIRECT_CONV_LIMIT:
-        probs = np.convolve(a.probs, b.probs)
-    else:
-        probs = fftconvolve(a.probs, b.probs)
-        np.maximum(probs, 0.0, out=probs)
+    probs = _convolve_masses(a.probs, b.probs)
     tail = 1.0 - math.fsum(probs.tolist())
     return _trusted(probs, tail, a.start + b.start)
 

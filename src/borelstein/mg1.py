@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from .borel import DEFAULT_WINDOW_CAP, Censored, CENSORED, branching_totals, poisson_draw
+from .borel import DEFAULT_WINDOW_CAP, branching_totals
 from .errors import LambdaOutOfRange, QuadratureFailure
 from .lawkit import TruncatedLaw, empirical_law
 
@@ -172,30 +172,6 @@ def bound_qbd2(lam: float, s: ServiceModel) -> float:
     if not 0.0 < lam < 0.5:
         raise LambdaOutOfRange(f"the bound is meaningful only for lambda < 1/2, got {lam}")
     return lam**2 * service_abs_moment(s) / (1.0 - 2.0 * lam)
-
-
-def sample_busy_period(
-    lam: float,
-    s: ServiceModel,
-    rng: np.random.Generator,
-    cap: int = DEFAULT_WINDOW_CAP,
-) -> int | Censored:
-    """One draw of the busy-period customer count.
-
-    Frontier walk: serve a customer, add Poisson(lambda * S) new arrivals
-    with a fresh service draw each time, stop when no work is pending.
-    Returns ``CENSORED`` once the count would exceed ``cap``.
-    """
-    if not 0.0 < lam < 1.0:
-        raise LambdaOutOfRange(f"need 0 < lambda < 1, got {lam}")
-    total = 1
-    pending = poisson_draw(rng, lam * float(s.draw(rng, 1)[0]))
-    while pending > 0:
-        if total + 1 > cap:
-            return CENSORED
-        pending += poisson_draw(rng, lam * float(s.draw(rng, 1)[0])) - 1
-        total += 1
-    return total
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,15 @@ import math
 import numpy as np
 from dataclasses import dataclass
 from scipy import stats
-from scipy.signal import fftconvolve
 
 from . import borel
 from .borel import BorelParams
 from .errors import UnresolvedTail
-from .lawkit import TruncatedLaw, _trusted, convolve, mix, moments
+from .lawkit import TruncatedLaw, _convolve_masses, _trusted, convolve, mix, moments
 
 # above this input tail, the window mean is too uncertain to size-bias:
 # biasing weights outcomes by j, so unplaced tail mass has unbounded pull
 UNRESOLVED_TAIL_LIMIT = 1e-6
-
-_DIRECT_CONV_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -130,12 +127,7 @@ def geometric_sum_law(p: BorelParams, eps: float) -> TruncatedLaw:
         acc += (1.0 - lam) * lam ** (n - 1) * cur
         if lam**n < eps:
             break
-        if cur.size * base.size <= _DIRECT_CONV_LIMIT:
-            nxt = np.convolve(cur, base0[: base.end + 1])
-        else:
-            nxt = fftconvolve(cur, base0[: base.end + 1])
-            np.maximum(nxt, 0.0, out=nxt)
-        cur = nxt[: cap + 1]
+        cur = _convolve_masses(cur, base0[: base.end + 1])[: cap + 1]
         n += 1
         if not cur.any():
             break  # n-fold support already starts above the window
@@ -145,22 +137,14 @@ def geometric_sum_law(p: BorelParams, eps: float) -> TruncatedLaw:
 
 
 def _window_for_biased_tail(p: BorelParams, target: float, at_least: int) -> int:
-    """Smallest W with size-biased Borel mass above W at most ``target``."""
-    lam = p.lam
-    size = max(2 * at_least, 1024)
-    while True:
-        q = borel.pmf_values(p, size)
-        jq = np.arange(1.0, size + 1.0) * q
-        # geometric ratio bound q(j+1)/q(j) <= exp(-decay_rate) gives a
-        # closed-form cap on the mass beyond the computed range
-        r = math.exp(-p.decay_rate)
-        rem = q[-1] * (size * r / (1.0 - r) + r / (1.0 - r) ** 2)
-        suffix = (np.cumsum(jq[::-1])[::-1] - jq) + rem  # sum over j > W
-        biased_beyond = (1.0 - lam) * suffix
-        hit = np.nonzero(biased_beyond <= target)[0]
-        if hit.size:
-            return max(int(hit[0]) + 1, at_least)
-        size *= 2
+    """First W >= ``at_least`` with size-biased Borel mass above W <= ``target``.
+
+    The biased mass above W is ``(1 - lam) * sum_{j > W} j q(j)``; the suffix
+    sums are upper bounds resolved to ``target``, so a cutoff always exists.
+    """
+    _, sums_jq = borel._pmf_suffix_sums(p.lam, tol=target)
+    hit = int(np.argmax((1.0 - p.lam) * sums_jq <= target))
+    return max(hit, at_least)
 
 
 def x_mean(p: BorelParams) -> float:

@@ -32,20 +32,18 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 
 from . import borel
-from .borel import BorelParams
+from .borel import _TAIL_REPORT_TOL, BorelParams, _pmf_suffix_sums
 from .errors import InsufficientWindow, MeanMismatch
 from .lawkit import TruncatedLaw, moments, tv_distance
 from .sizebias import mixture_rhs, size_bias
 
 MEAN_TOLERANCE = 1e-6  # relative slack on the mean hypothesis of the TV bound
 _HP_MAX_WINDOW = 20
-_TAIL_REPORT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -127,37 +125,6 @@ def coefficient_bound(p: BorelParams, k: int, j: int) -> float:
     if j == 0:
         return 1.0 / (k - 1)
     return j * p.lam * borel.pmf(p, j) / (k - 1)
-
-
-@lru_cache(maxsize=64)
-def _pmf_suffix_sums(lam: float, tol: float = _TAIL_REPORT_TOL, min_size: int = 0):
-    """Suffix sums of q(j) and j*q(j), indexed by cutoff W, with remainders.
-
-    ``sums_q[W]`` bounds ``sum_{j > W} q(j)`` from above (same for j*q);
-    the window extends until the geometric-ratio bound
-    ``q(j+1) <= exp(-decay_rate) q(j)`` certifies the uncomputed part of
-    ``sum j q(j)`` below ``tol``, and that remainder is folded into every
-    entry so the reported sums stay upper bounds.
-    """
-    p = BorelParams(lam)
-    r = math.exp(-p.decay_rate)
-    size = 1024
-    while size < min_size:
-        size *= 2
-    while True:
-        q = borel.pmf_values(p, size)
-        rem_jq = q[-1] * (size * r / (1.0 - r) + r / (1.0 - r) ** 2)
-        if rem_jq <= tol:
-            break
-        size *= 2
-    rem_q = q[-1] * r / (1.0 - r)
-    jq = np.arange(1.0, size + 1.0) * q
-    cum_q, cum_jq = np.cumsum(q), np.cumsum(jq)
-    sums_q = np.concatenate([[cum_q[-1]], cum_q[-1] - cum_q]) + rem_q
-    sums_jq = np.concatenate([[cum_jq[-1]], cum_jq[-1] - cum_jq]) + rem_jq
-    sums_q.setflags(write=False)
-    sums_jq.setflags(write=False)
-    return sums_q, sums_jq
 
 
 def solve_f(h: np.ndarray, table: SteinTable, eps_tail: float = 1e-12) -> SteinSolution:

@@ -53,10 +53,15 @@ class TestPmf:
             main(["pmf", "--lambda", "0.5", "--eps", "0"])
         assert exc.value.code == 2
 
+    def test_eps_below_double_precision_is_usage_error(self, capsys):
+        # 1 - 1e-300 rounds to 1: no window sum can certify that target
+        with pytest.raises(SystemExit) as exc:
+            main(["pmf", "--lambda", "0.5", "--eps", "1e-300"])
+        assert exc.value.code == 2
+
 
 class TestSteinCheck:
     def test_passes_and_exports_table(self, capsys, tmp_path):
-        out_file = tmp_path / "table.csv"
         code, out, _ = run(
             [
                 "stein-check",
@@ -65,12 +70,14 @@ class TestSteinCheck:
                 "--table-size",
                 "25",
                 "--out",
-                str(out_file),
+                str(tmp_path),
             ],
             capsys,
         )
         assert code == 0
-        lines = out_file.read_text().strip().splitlines()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert [c["criterion_id"] for c in summary["criteria"]] == ["4", "5", "6", "7"]
+        lines = (tmp_path / "stein_table.csv").read_text().strip().splitlines()
         assert lines[0] == "k,m,a_km,lemma1_bound"
         k, m, a_km, bound = lines[1].split(",")
         assert (k, m) == ("2", "2")
@@ -136,16 +143,37 @@ class TestQueueCommands:
         assert exc.value.code == 2
 
 
-class TestTails:
-    def test_rows_and_domination(self, capsys):
-        code, out, _ = run(["tails", "--lambda", "0.4"], capsys)
+class TestSbCheck:
+    def test_runs_suites_2_3_12(self, capsys, tmp_path):
+        code, out, _ = run(["sb-check", "--lambda", "0.5", "--out", str(tmp_path)], capsys)
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("lambda,t,side,exact,exact_err,bound")
+        assert out.count("[PASS] criterion") == 3
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert [c["criterion_id"] for c in summary["criteria"]] == ["2", "3", "12"]
+        rows = (tmp_path / "crit_02_sizebias_mixture.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0.5,")
+
+
+class TestTails:
+    def test_rows_and_domination(self, capsys, tmp_path):
+        code, _, _ = run(["tails", "--lambda", "0.4", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        lines = (tmp_path / "crit_11_tail_bounds.csv").read_text().strip().splitlines()
+        cols = lines[0].split(",")
+        assert cols[:7] == [
+            "lambda",
+            "t",
+            "exact_lower",
+            "lower_bound",
+            "exact_upper",
+            "exact_upper_err",
+            "upper_bound_opt",
+        ]
+        assert len(lines) == 6
         for line in lines[1:]:
-            parts = line.split(",")
-            exact, err, bound = float(parts[3]), float(parts[4]), float(parts[5])
-            assert exact <= bound + err
+            row = dict(zip(cols, map(float, line.split(","))))
+            assert row["exact_lower"] <= row["lower_bound"]
+            assert row["exact_upper"] <= row["upper_bound_opt"] + row["exact_upper_err"]
 
 
 class TestReport:
@@ -176,3 +204,9 @@ class TestReport:
         capsys.readouterr()
         for name in sorted(p.name for p in a.iterdir()):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_malformed_thread_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BOREL_STEIN_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--quick", "--out", str(tmp_path)])
+        assert exc.value.code == 2

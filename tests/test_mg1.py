@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from borelstein import borel
-from borelstein.borel import CENSORED, BorelParams
+from borelstein.borel import BorelParams
 from borelstein.errors import LambdaOutOfRange
 from borelstein.lawkit import tv_distance
 from borelstein.mg1 import (
@@ -16,7 +16,6 @@ from borelstein.mg1 import (
     deterministic,
     exponential,
     gamma_service,
-    sample_busy_period,
     service_abs_moment,
     service_variance,
     simulate,
@@ -134,10 +133,10 @@ class TestSimulator:
         assert abs(summary.mean_uncensored - 1.0 / (1.0 - lam)) <= 4 * sd_proxy
 
     def test_cap_produces_censored_values(self):
-        rng = np.random.default_rng(13)
-        outcomes = [sample_busy_period(0.6, exponential(), rng, cap=2) for _ in range(200)]
-        assert any(o is CENSORED for o in outcomes)
-        assert all(o is CENSORED or o <= 2 for o in outcomes)
+        summary = simulate(0.6, exponential(), 200, seed=13, cap=2)
+        assert summary.censored_count > 0
+        # every kept total is at most 2: no window mass above 2
+        assert not summary.empirical.probs[2:].any()
 
     def test_summary_deterministic_given_seed(self):
         a = simulate(0.35, two_point(0.5, 0.5), 20_000, seed=99)
