@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtr
 
 from .errors import InvalidIndex, WindowOverflow
 from .lawkit import TruncatedLaw, _trusted
@@ -35,6 +35,9 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # largest j computed with the naive formula; above it the Stirling path is
 # both cheaper and more accurate
 _DIRECT_J_MAX = 32
+# largest Poisson mean whose inversion starts at k = 0; exp(-mu) underflows
+# near mu = 745
+_EXP_SAFE_MU = 700.0
 
 
 @dataclass(frozen=True)
@@ -172,24 +175,63 @@ def law(p: BorelParams, eps: float, cap: int = DEFAULT_WINDOW_CAP) -> TruncatedL
 
 
 def poisson_draw_vec(rng: np.random.Generator, mu: np.ndarray) -> np.ndarray:
-    """Vectorized Poisson inversion, one uniform per entry."""
+    """Vectorized Poisson inversion, one uniform per entry.
+
+    Each draw is the least k with ``u <= P(X <= k)``, found by walking k
+    upward with ``prob *= mu / k``.  Only the entries still walking are
+    touched, so the cost is proportional to the sum of the draws, not to
+    ``size * max draw``.  Means up to ``_EXP_SAFE_MU`` start at k = 0 from
+    ``exp(-mu)``; larger means, where ``exp(-mu)`` underflows, start at
+    ``k0 = floor(mu - 10 sqrt(mu))`` from the log-space mass and
+    ``pdtr(k0, mu)``.  The Poisson lower tail obeys
+    ``P(X < mu - t) <= exp(-t^2 / (2 mu))``, so the skipped mass is below
+    ``exp(-50)``, under the 2^-53 spacing of the uniforms: only ``u == 0``
+    draws differently than from k = 0.  A draw that would pass the guard
+    ``mu.max() + 40 sqrt(mu.max() + 1) + 60`` returns the guard.
+    """
     mu = np.asarray(mu, dtype=float)
-    u = rng.random(mu.shape)
+    shape, n = mu.shape, mu.size
+    mu = mu.ravel()
+    u = rng.random(shape).ravel()
+    top = mu.max(initial=0.0)
+    limit = int(top + 40.0 * math.sqrt(top + 1.0) + 60.0)
     prob = np.exp(-mu)
-    cum = prob.copy()
-    k = np.zeros(mu.shape, dtype=np.int64)
-    active = u > cum
-    limit = int(mu.max(initial=0.0) + 40.0 * math.sqrt(mu.max(initial=0.0) + 1.0) + 60.0)
+    cum = prob
+    shifted = top > _EXP_SAFE_MU
+    if shifted:
+        big = np.flatnonzero(mu > _EXP_SAFE_MU)
+        mb = mu[big]
+        k0 = np.floor(mb - 10.0 * np.sqrt(mb))
+        prob[big] = np.exp(k0 * np.log(mb) - mb - gammaln(k0 + 1.0))
+        cum = prob.copy()
+        cum[big] = pdtr(k0, mb)
+        draws = np.zeros(n, dtype=np.int64)
+        draws[big] = k0
+    live = np.flatnonzero(u > cum)
+    u, mu, prob, cum = u[live], mu[live], prob[live], cum[live]
+    if shifted:
+        start = draws[live]
+    else:
+        start = 0
+        draws = np.zeros(n, dtype=np.int64)
     rounds = 0
-    while active.any() and rounds < limit:
+    while live.size and rounds < limit:
         rounds += 1
-        k[active] += 1
-        prob[active] *= mu[active] / rounds
-        # restart accumulation per-entry: prob holds mu^k e^-mu / k! only for
-        # entries still active, which all share the same k = rounds
-        cum[active] += prob[active]
-        active &= u > cum
-    return k
+        at = start + rounds
+        prob *= mu / at
+        cum += prob
+        going = u > cum
+        if shifted:
+            going &= at < limit
+        keep = np.flatnonzero(going)
+        if keep.size < live.size:
+            stop = ~going
+            draws[live[stop]] = at[stop] if shifted else at
+            live, u, mu, prob, cum = live[keep], u[keep], mu[keep], prob[keep], cum[keep]
+            if shifted:
+                start = start[keep]
+    draws[live] = start + rounds
+    return draws.reshape(shape)
 
 
 def sample_many(
@@ -218,24 +260,30 @@ def branching_totals(
     ``first_mu`` gives each path's initial Poisson mean; ``next_mu(k)`` must
     return ``k`` fresh means, one per still-active path, consuming the
     generator in a fixed order so runs are reproducible.
+
+    Each round serves one pending customer on every live path, so all live
+    paths share one total.  Only the live paths, kept in increasing order,
+    are touched, and a path's result is written when it ends or is
+    censored: the cost is proportional to the sum of the totals, not to
+    ``n`` times the number of rounds.
     """
-    n = first_mu.size
-    total = np.ones(n, dtype=np.int64)
-    censored = np.zeros(n, dtype=bool)
-    pending = poisson_draw_vec(rng, first_mu)
-    active = pending > 0
-    while active.any():
-        idx = np.flatnonzero(active)
-        over = total[idx] + 1 > cap
-        if over.any():
-            hit = idx[over]
-            censored[hit] = True
-            active[hit] = False
-            idx = idx[~over]
-            if idx.size == 0:
-                break
-        draws = poisson_draw_vec(rng, next_mu(idx.size))
-        pending[idx] += draws - 1
-        total[idx] += 1
-        active[idx] = pending[idx] > 0
-    return total, censored
+    # a path is live while it has had at least as many arrivals as services
+    arrived = poisson_draw_vec(rng, first_mu).ravel()
+    live = np.flatnonzero(arrived > 0)
+    arrived = arrived[live]
+    totals = np.ones(first_mu.size, dtype=np.int64)
+    censored = np.zeros(first_mu.size, dtype=bool)
+    total = 1
+    while live.size:
+        if total + 1 > cap:
+            totals[live] = total
+            censored[live] = True
+            break
+        arrived += poisson_draw_vec(rng, next_mu(live.size))
+        total += 1
+        going = arrived >= total
+        keep = np.flatnonzero(going)
+        if keep.size < live.size:
+            totals[live[~going]] = total
+            live, arrived = live[keep], arrived[keep]
+    return totals, censored

@@ -314,11 +314,10 @@ def cmd_stein_check(args, parser) -> int:
     if args.out and args.lam is not None:
         p = BorelParams(args.lam)
         a = stein.build_table(p, M).a
-        rows = [
-            [k, m, a[k, m], stein.coefficient_bound(p, k, m - k)]
-            for k in range(2, M + 1)
-            for m in range(k, M + 1)
-        ]
+        k, m = np.triu_indices(M - 1)  # rows 2 <= k <= m <= M, k-major
+        k, m = k + 2, m + 2
+        bound = stein.coefficient_bound(p, k, m - k)
+        rows = list(zip(k.tolist(), m.tolist(), a[k, m].tolist(), bound.tolist()))
         table = Path(args.out) / "stein_table.csv"
         _write_table(["k", "m", "a_km", "lemma1_bound"], rows, table, "csv")
     return code

@@ -118,13 +118,18 @@ def build_table_hp(p: BorelParams, M: int, dps: int = 50):
         return a
 
 
-def coefficient_bound(p: BorelParams, k: int, j: int) -> float:
-    """Proven envelope for ``|a[k, k+j]|``: 1/(k-1) at j = 0, else j lam q(j)/(k-1)."""
-    if k < 2 or j < 0:
+def coefficient_bound(p: BorelParams, k, j):
+    """Proven envelope for ``|a[k, k+j]|``: 1/(k-1) at j = 0, else j lam q(j)/(k-1).
+
+    ``k`` and ``j`` are integers or integer arrays of one broadcast shape;
+    scalars give a float, arrays an array, through the same expression.
+    """
+    k, j = np.asarray(k), np.asarray(j)
+    if np.any(k < 2) or np.any(j < 0):
         raise ValueError("need k >= 2 and j >= 0")
-    if j == 0:
-        return 1.0 / (k - 1)
-    return j * p.lam * borel.pmf(p, j) / (k - 1)
+    q = np.concatenate([[0.0], borel.pmf_values(p, max(int(j.max(initial=0)), 1))])
+    bound = np.where(j == 0, 1.0, j * p.lam * q[j]) / (k - 1)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def solve_f(h: np.ndarray, table: SteinTable, eps_tail: float = 1e-12) -> SteinSolution:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from borelstein import borel
+from borelstein import borel, mg1
 from borelstein.borel import (
     BorelParams,
     law,
@@ -22,6 +22,49 @@ from borelstein.lawkit import empirical_law, moments, tv_distance
 mp.mp.dps = 50
 
 GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+
+
+def _reference_poisson_draw_vec(rng, mu):
+    """The uncompacted inversion loop, kept to pin the library's random stream."""
+    mu = np.asarray(mu, dtype=float)
+    u = rng.random(mu.shape)
+    prob = np.exp(-mu)
+    cum = prob.copy()
+    k = np.zeros(mu.shape, dtype=np.int64)
+    active = u > cum
+    limit = int(mu.max(initial=0.0) + 40.0 * math.sqrt(mu.max(initial=0.0) + 1.0) + 60.0)
+    rounds = 0
+    while active.any() and rounds < limit:
+        rounds += 1
+        k[active] += 1
+        prob[active] *= mu[active] / rounds
+        cum[active] += prob[active]
+        active &= u > cum
+    return k
+
+
+def _reference_branching_totals(rng, first_mu, next_mu, cap):
+    """The uncompacted frontier walk, scanning every path each round."""
+    n = first_mu.size
+    total = np.ones(n, dtype=np.int64)
+    censored = np.zeros(n, dtype=bool)
+    pending = _reference_poisson_draw_vec(rng, first_mu)
+    active = pending > 0
+    while active.any():
+        idx = np.flatnonzero(active)
+        over = total[idx] + 1 > cap
+        if over.any():
+            hit = idx[over]
+            censored[hit] = True
+            active[hit] = False
+            idx = idx[~over]
+            if idx.size == 0:
+                break
+        draws = _reference_poisson_draw_vec(rng, next_mu(idx.size))
+        pending[idx] += draws - 1
+        total[idx] += 1
+        active[idx] = pending[idx] > 0
+    return total, censored
 
 
 def oracle_log_pmf(lam, j):
@@ -118,6 +161,94 @@ class TestPoissonInversion:
             p = stats.poisson.pmf(k, mu)
             se = math.sqrt(p * (1 - p) / n)
             assert abs((draws == k).mean() - p) <= 4 * se + 1e-9
+
+    @pytest.mark.parametrize("mu", [745.0, 800.0, 900.0, 1e4])
+    def test_large_means_have_poisson_mean_and_variance(self, mu):
+        # exp(-mu) underflows from mu near 745; every draw must still be exact
+        n = 200_000
+        draws = poisson_draw_vec(np.random.default_rng(11), np.full(n, mu))
+        assert abs(draws.mean() - mu) <= 4 * math.sqrt(mu / n)
+        # Var of the sample variance of a Poisson(mu) is about (2 mu^2 + mu) / n
+        assert abs(draws.var() - mu) <= 4 * math.sqrt((2 * mu**2 + mu) / n)
+
+    def test_large_mean_frequencies_near_mode(self):
+        mu, n = 800.0, 200_000
+        draws = poisson_draw_vec(np.random.default_rng(12), np.full(n, mu))
+        for k in range(780, 821, 5):
+            p = stats.poisson.pmf(k, mu)
+            se = math.sqrt(p * (1 - p) / n)
+            assert abs((draws == k).mean() - p) <= 4 * se
+
+    def test_mixed_small_and_large_means(self):
+        mu = np.array([0.0, 2.0, 5000.0, 0.5, 1e6])
+        draws = poisson_draw_vec(np.random.default_rng(13), np.tile(mu, 4000))
+        got = draws.reshape(-1, mu.size).mean(axis=0)
+        assert np.all(np.abs(got - mu) <= 4 * np.sqrt(mu / 4000))
+
+
+class TestSameStream:
+    """The compacted loops reproduce the full-scan loops draw for draw."""
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            np.zeros(0),
+            np.array([0.0, 0.3, 0.0, 4.0, 60.0, 699.0]),
+            np.linspace(0.0, 30.0, 5000),
+            np.random.default_rng(5).gamma(0.5, 40.0, size=(40, 60)),
+            np.full(3000, 250.0),
+        ],
+    )
+    def test_poisson_draws_match_reference(self, mu):
+        got = poisson_draw_vec(np.random.default_rng(21), mu)
+        want = _reference_poisson_draw_vec(np.random.default_rng(21), mu)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.7, 12.5])
+    def test_zero_dim_mean_draws_as_length_one(self, mu):
+        got = poisson_draw_vec(np.random.default_rng(22), np.array(mu))
+        want = _reference_poisson_draw_vec(np.random.default_rng(22), np.array([mu]))
+        assert got.shape == ()
+        assert got == want[0]
+
+    @pytest.mark.parametrize("cap", [1, 2, 50])
+    def test_censored_totals_match_reference(self, cap):
+        lam = 0.8
+        args = (np.full(5000, lam), lambda k: np.full(k, lam), cap)
+        got = borel.branching_totals(np.random.default_rng(23), *args)
+        want = _reference_branching_totals(np.random.default_rng(23), *args)
+        assert want[1].any()
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.9])
+    def test_sample_many_matches_reference(self, lam, monkeypatch):
+        got = sample_many(BorelParams(lam), 20_000, np.random.default_rng(24))
+        monkeypatch.setattr(borel, "branching_totals", _reference_branching_totals)
+        want = sample_many(BorelParams(lam), 20_000, np.random.default_rng(24))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "service",
+        [
+            mg1.deterministic(),
+            mg1.exponential(),
+            mg1.gamma_service(0.5),
+            mg1.uniform_symmetric(0.5),
+            mg1.two_point(0.2, 0.5),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_simulate_matches_reference(self, service, monkeypatch):
+        got = mg1.simulate(0.9, service, 20_000, seed=25, cap=2000)
+        monkeypatch.setattr(mg1, "branching_totals", _reference_branching_totals)
+        want = mg1.simulate(0.9, service, 20_000, seed=25, cap=2000)
+        np.testing.assert_array_equal(got.empirical.probs, want.empirical.probs)
+        assert got.empirical.tail_mass == want.empirical.tail_mass
+        assert got.censored_count == want.censored_count
+        assert got.mean_uncensored == want.mean_uncensored
 
 
 class TestSampler:

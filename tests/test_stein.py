@@ -73,6 +73,23 @@ class TestTable:
         assert got == pytest.approx(0.5 * math.exp(-0.5) / 2, rel=1e-13)
         assert got == pytest.approx(0.15163, abs=5e-6)
 
+    def test_array_bounds_equal_scalar_bounds(self):
+        p = BorelParams(0.3)
+        k, m = np.triu_indices(39)
+        k, m = k + 2, m + 2
+        got = coefficient_bound(p, k, m - k)
+        assert got.shape == k.shape
+        want = [coefficient_bound(p, int(a), int(b)) for a, b in zip(k, m - k)]
+        assert all(isinstance(w, float) for w in want)
+        np.testing.assert_array_equal(got, want)
+        assert got[0] == 1.0  # (k, m) = (2, 2)
+
+    def test_bound_rejects_any_bad_entry(self):
+        with pytest.raises(ValueError):
+            coefficient_bound(BorelParams(0.5), np.array([2, 1]), np.array([0, 3]))
+        with pytest.raises(ValueError):
+            coefficient_bound(BorelParams(0.5), np.array([2, 3]), np.array([0, -1]))
+
     def test_bound_summable_in_j(self):
         p = BorelParams(0.5)
         vals = [coefficient_bound(p, 2, j) for j in range(1, 200)]
