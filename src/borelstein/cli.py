@@ -22,7 +22,8 @@ Every command is deterministic given its flags and ``--seed``; floats are
 printed with 17 significant digits so output round-trips exactly.  Exit
 codes: 0 all checks pass, 1 an assertion failed, 2 usage error (also an
 ``--eps`` below machine epsilon, a non-integer ``BOREL_STEIN_THREADS``), 3
-numeric failure (window overflow, quadrature, or series divergence).
+numeric failure (window overflow, a ``--table-size`` above
+``stein.MAX_TABLE_WINDOW``, or series divergence).
 ``BOREL_STEIN_THREADS`` caps suite parallelism of the suite runner.
 """
 
@@ -42,7 +43,6 @@ from .borel import BorelParams
 from .errors import (
     BorelSteinError,
     InsufficientWindow,
-    QuadratureFailure,
     SumDivergenceGuard,
     WindowOverflow,
 )
@@ -53,7 +53,7 @@ EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-_NUMERIC_ERRORS = (WindowOverflow, QuadratureFailure, SumDivergenceGuard, InsufficientWindow)
+_NUMERIC_ERRORS = (WindowOverflow, SumDivergenceGuard, InsufficientWindow)
 
 SUITE_SLUGS = {
     "1": "borel_validity",

@@ -49,9 +49,5 @@ class DeltaOutOfRange(BorelSteinError):
     """Slack parameter leaves no positive exponential decay rate."""
 
 
-class QuadratureFailure(BorelSteinError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class SumDivergenceGuard(BorelSteinError):
     """Series terms failed to decay; summation aborted."""

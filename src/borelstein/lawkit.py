@@ -16,7 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import EmptySample, NegativeMass, NotNormalized, WeightOutOfRange
 
@@ -141,12 +141,15 @@ def point_mass(j: int) -> TruncatedLaw:
 def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two nonnegative mass vectors.
 
-    Direct for small inputs, by FFT above ``_DIRECT_CONV_LIMIT``; the FFT's
+    Direct for small inputs, by real FFT above ``_DIRECT_CONV_LIMIT`` (the
+    same transforms and padding as ``scipy.signal.fftconvolve``); the FFT's
     round-off can dip below zero, so its output is clamped at 0.
     """
     if a.size * b.size <= _DIRECT_CONV_LIMIT:
         return np.convolve(a, b)
-    out = fftconvolve(a, b)
+    n = a.size + b.size - 1
+    size = next_fast_len(n, True)
+    out = irfft(rfft(a, size) * rfft(b, size), size)[:n]
     np.maximum(out, 0.0, out=out)
     return out
 

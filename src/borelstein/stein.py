@@ -8,12 +8,15 @@ For a bounded test function h on {1, 2, ...} the equation
 
     f(k) = sum_{m >= k} a[k, m] * (h(m) - E[h(Z)]) / (1 - lam),   k >= 2,
 
-where the coefficients satisfy a[k, k] = 1/(k-1) and, column by column,
+where the coefficients satisfy a[k, k] = 1/(k-1) and
 
     a[k, m] = (k lam / (k-1)) * sum_{i=1}^{m-k} a[k+i, m] q(i).
 
-The recursion fixes a column m and descends k, because each entry needs the
-deeper-k entries of its own column.  Every entry obeys
+Each entry needs only entries of deeper rows, and the table is upper
+triangular (a[k+i, m] = 0 for k+i > m), so a whole row k follows from the
+finished rows below it as one matrix-vector product: the back-substitution
+of the triangular system U A = diag(1/(k lam)), with (k-1)/(k lam) on the
+diagonal of U and -q(i) on its i-th superdiagonal.  Every entry obeys
 ``|a[k, k+j]| <= j lam q(j) / (k-1)``, which yields the uniform solution
 bound ``sup_k |f(k)| <= 1/(1-lam)^2`` for test functions with values in
 [0, 1] and drives the computable comparison bound of :func:`size_bias_tv_bound`:
@@ -38,12 +41,13 @@ import numpy as np
 
 from . import borel
 from .borel import _TAIL_REPORT_TOL, BorelParams, _pmf_suffix_sums
-from .errors import InsufficientWindow, MeanMismatch
+from .errors import InsufficientWindow, MeanMismatch, WindowOverflow
 from .lawkit import TruncatedLaw, moments, tv_distance
 from .sizebias import mixture_rhs, size_bias
 
 MEAN_TOLERANCE = 1e-6  # relative slack on the mean hypothesis of the TV bound
 _HP_MAX_WINDOW = 20
+MAX_TABLE_WINDOW = 5000  # a 200 MB table; build_table refuses larger M
 
 
 @dataclass(frozen=True)
@@ -74,23 +78,29 @@ ScaledBound = namedtuple("ScaledBound", ["lower", "upper"])
 
 
 def build_table(p: BorelParams, M: int) -> SteinTable:
-    """Coefficient table via the column-descent recursion.
+    """Coefficient table via the row recursion, one matrix-vector product per row.
 
-    O(M^3) time, O(M^2) space.  All recursion terms are positive, so there
-    is no cancellation and double precision tracks the exact values to a
-    relative error near machine epsilon (see :func:`build_table_hp`).
+    Row k, for every m > k at once, is ``(k lam/(k-1)) * q[1:M-k+1] @ a[k+1:, k+1:]``:
+    M - 2 BLAS calls, O(M^3) flops in all, O(M^2) space.  All recursion terms
+    are positive, so there is no cancellation and double precision tracks the
+    exact values to a relative error near machine epsilon (see
+    :func:`build_table_hp`).  Raises ``WindowOverflow`` above
+    ``MAX_TABLE_WINDOW``.
     """
     if M < 2:
         raise ValueError(f"need M >= 2, got {M}")
+    if M > MAX_TABLE_WINDOW:
+        raise WindowOverflow(
+            f"table window M = {M} exceeds MAX_TABLE_WINDOW = {MAX_TABLE_WINDOW}"
+        )
     lam = p.lam
     q = np.concatenate([[0.0], borel.pmf_values(p, M)])
     a = np.zeros((M + 1, M + 1))
-    for m in range(2, M + 1):
-        a[m, m] = 1.0 / (m - 1)
-        for k in range(m - 1, 1, -1):
-            # needs a[k+1 .. m, m], all already filled for this column
-            s = float(np.dot(a[k + 1 : m + 1, m], q[1 : m - k + 1]))
-            a[k, m] = k * lam / (k - 1) * s
+    a[M, M] = 1.0 / (M - 1)
+    for k in range(M - 1, 1, -1):
+        # rows k+1 .. M are finished, and a[k+i, m] = 0 for k+i > m
+        a[k, k + 1 :] = (k * lam / (k - 1)) * (q[1 : M - k + 1] @ a[k + 1 :, k + 1 :])
+        a[k, k] = 1.0 / (k - 1)
     return SteinTable(lam=lam, M=M, a=a, q=q)
 
 

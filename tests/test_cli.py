@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import borelstein
 from borelstein.cli import main
 
 
@@ -89,6 +94,13 @@ class TestSteinCheck:
     def test_high_lambda_passes(self, capsys):
         code, _, _ = run(["stein-check", "--lambda", "0.9", "--table-size", "40"], capsys)
         assert code == 0
+
+    def test_table_size_above_cap_is_numeric_failure(self, capsys):
+        code, _, err = run(
+            ["stein-check", "--lambda", "0.5", "--table-size", "100000"], capsys
+        )
+        assert code == 3
+        assert "MAX_TABLE_WINDOW" in err
 
 
 class TestQueueCommands:
@@ -210,3 +222,29 @@ class TestReport:
         with pytest.raises(SystemExit) as exc:
             main(["report", "--quick", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's package."""
+    src = str(Path(borelstein.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestEntryPoints:
+    def test_python_dash_m_help(self):
+        proc = run_python("-m", "borelstein", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "stein-check" in proc.stdout
+
+    def test_import_skips_heavy_scipy_modules(self):
+        proc = run_python(
+            "-c",
+            "import sys, borelstein, borelstein.cli; "
+            "print(','.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.integrate') "
+            "if m in sys.modules))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""

@@ -15,6 +15,8 @@ from borelstein.errors import (
 from borelstein.lawkit import (
     TruncatedLaw,
     TVInterval,
+    _DIRECT_CONV_LIMIT,
+    _convolve_masses,
     convolve,
     empirical_law,
     make_law,
@@ -214,6 +216,20 @@ class TestMoments:
     def test_borel_mean_matches_closed_form(self):
         L = borel.law(borel.BorelParams(0.5), 1e-12)
         assert moments(L).mean == pytest.approx(2.0, abs=1e-8)
+
+
+class TestFftConvolution:
+    @pytest.mark.parametrize(
+        "sizes", [(1001, 1000), (1000, 1003), (4097, 300), (12345, 99), (333, 33333), (100_000, 11)]
+    )
+    def test_fft_path_equals_scipy_fftconvolve(self, sizes):
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(sum(sizes))
+        a, b = (rng.random(n) / n for n in sizes)
+        assert a.size * b.size > _DIRECT_CONV_LIMIT
+        want = np.maximum(fftconvolve(a, b), 0.0)
+        assert np.array_equal(_convolve_masses(a, b), want)
 
 
 class TestConservationEverywhere:

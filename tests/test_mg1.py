@@ -62,6 +62,20 @@ class TestServiceFunctionals:
             oracle = mp.quad(lambda x: x * abs(x - 1) * dens(x), [0, 1, mp.inf])
         assert got == pytest.approx(float(oracle), abs=1e-10)
 
+    @pytest.mark.parametrize("alpha", [1e-9, 0.01, 0.5, 1.0, 4.0, 100.0, 1e4, 1e6])
+    def test_gamma_abs_moment_closed_form_across_shapes(self, alpha):
+        # the mass sits near 0 for tiny shapes and within ~1/sqrt(alpha) of 1
+        # for large ones; log-space density and split points keep mpmath exact
+        got = service_abs_moment(gamma_service(alpha))
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+            w = 10 / mp.sqrt(a)
+            log_c = a * mp.log(a) - mp.loggamma(a)
+            dens = lambda x: mp.exp(log_c + (a - 1) * mp.log(x) - a * x)
+            cuts = [0, 1, mp.inf] if w >= 1 else [0, 1 - w, 1, 1 + w, mp.inf]
+            oracle = mp.quad(lambda x: x * abs(x - 1) * dens(x), cuts)
+        assert got == pytest.approx(float(oracle), rel=1e-12)
+
     def test_uniform_abs_moment_against_quadrature(self):
         for a in (0.25, 0.5, 1.0):
             got = service_abs_moment(uniform_symmetric(a))
@@ -106,6 +120,10 @@ class TestBounds:
             bound_qbd2(0.5, exponential())
         with pytest.raises(LambdaOutOfRange):
             bound_qbd2(0.7, deterministic())
+
+    def test_qbd2_tiny_gamma_shape(self):
+        # E[S|S-1|] = 1/alpha + O(1) as alpha -> 0: 0.09 * 1e9 / 0.4
+        assert bound_qbd2(0.3, gamma_service(1e-9)) == pytest.approx(2.25e8, rel=1e-12)
 
     def test_quadratic_small_lambda_scaling(self):
         # bound / lambda^2 tends to the service functional as lambda -> 0

@@ -7,10 +7,11 @@ import pytest
 
 from borelstein import borel
 from borelstein.borel import BorelParams
-from borelstein.errors import InsufficientWindow, MeanMismatch
+from borelstein.errors import InsufficientWindow, MeanMismatch, WindowOverflow
 from borelstein.lawkit import make_law, point_mass, tv_distance
 from borelstein.sizebias import mixture_rhs, size_bias, size_bias_tail_estimate
 from borelstein.stein import (
+    MAX_TABLE_WINDOW,
     abel_sum,
     build_table,
     build_table_hp,
@@ -36,6 +37,54 @@ def mean_matched_borel_window(lam, eps=1e-10):
     probs[0] -= delta
     probs[1] += delta
     return make_law(probs)
+
+
+def column_descent_table(p, M):
+    """The earlier build_table: fix a column m, descend k, one dot product each."""
+    lam = p.lam
+    q = np.concatenate([[0.0], borel.pmf_values(p, M)])
+    a = np.zeros((M + 1, M + 1))
+    for m in range(2, M + 1):
+        a[m, m] = 1.0 / (m - 1)
+        for k in range(m - 1, 1, -1):
+            s = float(np.dot(a[k + 1 : m + 1, m], q[1 : m - k + 1]))
+            a[k, m] = k * lam / (k - 1) * s
+    return a
+
+
+class TestRowRecursion:
+    """The row recursion against the column-descent loop it replaced."""
+
+    @pytest.mark.parametrize("M", [60, 400])
+    @pytest.mark.parametrize("lam", [0.001, 0.1, 0.5, 0.9, 0.999])
+    def test_matches_column_descent(self, lam, M):
+        self.check_against_reference(lam, M)
+
+    def test_matches_column_descent_with_subnormal_entries(self):
+        self.check_against_reference(0.1, 1000, expect_subnormal=True)
+
+    @staticmethod
+    def check_against_reference(lam, M, expect_subnormal=False):
+        got = build_table(BorelParams(lam), M).a
+        ref = column_descent_table(BorelParams(lam), M)
+        assert np.all(np.isfinite(got))
+        assert np.all(got[np.tril_indices(M + 1, -1)] == 0.0)
+        k = np.arange(2, M + 1)
+        assert np.array_equal(got[k, k], 1.0 / (k - 1))
+        normal = np.abs(ref) >= 1e-290
+        rel = np.abs(got[normal] - ref[normal]) / np.abs(ref[normal])
+        assert rel.max() <= 1e-13
+        upper = np.triu(np.ones_like(ref, dtype=bool))
+        tiny = upper & ~normal
+        if expect_subnormal:
+            assert np.any((ref[tiny] != 0.0) & (np.abs(ref[tiny]) < np.finfo(float).tiny))
+        assert np.all(np.abs(got[tiny] - ref[tiny]) <= 1e-300)
+
+    def test_window_above_cap_is_refused(self):
+        with pytest.raises(WindowOverflow):
+            build_table(BorelParams(0.5), MAX_TABLE_WINDOW + 1)
+        with pytest.raises(WindowOverflow):
+            build_table(BorelParams(0.5), 100_000)
 
 
 class TestTable:
@@ -97,7 +146,15 @@ class TestTable:
         assert all(b >= 0 for b in vals)
 
     def test_high_precision_drift(self):
-        p = BorelParams(0.5)
+        assert self.worst_drift(0.5) <= 1e-13
+
+    @pytest.mark.parametrize("lam", [0.05, 0.95])
+    def test_high_precision_drift_near_ends(self, lam):
+        assert self.worst_drift(lam) <= 1e-13
+
+    @staticmethod
+    def worst_drift(lam):
+        p = BorelParams(lam)
         t = build_table(p, 20)
         hp = build_table_hp(p, 20)
         worst = 0.0
@@ -105,7 +162,7 @@ class TestTable:
             for k in range(2, m + 1):
                 exact = float(hp[k][m])
                 worst = max(worst, abs(t.a[k, m] - exact) / exact)
-        assert worst <= 1e-13
+        return worst
 
     def test_table_rejects_tiny_window(self):
         with pytest.raises(ValueError):
