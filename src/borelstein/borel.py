@@ -255,35 +255,50 @@ def branching_totals(
     next_mu,
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized frontier walk shared by the Borel and busy-period samplers.
+    """Vectorized generation walk shared by the Borel and busy-period samplers.
 
     ``first_mu`` gives each path's initial Poisson mean; ``next_mu(k)`` must
-    return ``k`` fresh means, one per still-active path, consuming the
-    generator in a fixed order so runs are reproducible.
+    return ``k`` fresh means, one per customer served in the round, consuming
+    the generator in a fixed order so runs are reproducible.
 
-    Each round serves one pending customer on every live path, so all live
-    paths share one total.  Only the live paths, kept in increasing order,
-    are touched, and a path's result is written when it ends or is
-    censored: the cost is proportional to the sum of the totals, not to
-    ``n`` times the number of rounds.
+    Each round serves a whole generation: every customer pending on a live
+    path.  Poisson laws superpose, so the next generation of a path is one
+    Poisson draw whose mean is the sum of its customers' means.  The number
+    of rounds is the height of the tallest tree, and each round costs one
+    ``next_mu`` call for the customers served and one Poisson draw per live
+    path.  Only the live paths, kept in increasing order, are touched.
+
+    A path is censored iff its total exceeds ``cap``, found as soon as its
+    served plus pending customers pass ``cap``; censored totals read ``cap``.
+    A ``cap`` below 1 raises ``ValueError``.
     """
-    # a path is live while it has had at least as many arrivals as services
-    arrived = poisson_draw_vec(rng, first_mu).ravel()
-    live = np.flatnonzero(arrived > 0)
-    arrived = arrived[live]
-    totals = np.ones(first_mu.size, dtype=np.int64)
-    censored = np.zeros(first_mu.size, dtype=bool)
-    total = 1
+    if cap < 1:
+        raise ValueError(f"censoring cap must be >= 1, got {cap}")
+    # totals count served plus pending customers; a live path has pending > 0
+    totals = poisson_draw_vec(rng, first_mu).ravel()
+    del first_mu  # the caller's full-length means are not needed past here
+    totals += 1
+    live = np.flatnonzero(totals > 1)
+    pending = totals[live] - 1
+    censored = np.zeros(totals.size, dtype=bool)
+    most = 1  # upper bound on the served customers of every live path
     while live.size:
-        if total + 1 > cap:
-            totals[live] = total
-            censored[live] = True
-            break
-        arrived += poisson_draw_vec(rng, next_mu(live.size))
-        total += 1
-        going = arrived >= total
-        keep = np.flatnonzero(going)
-        if keep.size < live.size:
-            totals[live[~going]] = total
-            live, arrived = live[keep], arrived[keep]
+        most += int(pending.max())
+        if most > cap:
+            reach = totals[live]
+            over = reach > cap
+            totals[live[over]] = cap
+            censored[live[over]] = True
+            keep = ~over
+            live, pending = live[keep], pending[keep]
+            if not live.size:
+                break
+            most = int(reach[keep].max())
+        starts = np.cumsum(pending)
+        size = int(starts[-1])
+        starts -= pending
+        pending = poisson_draw_vec(rng, np.add.reduceat(next_mu(size), starts))
+        totals[live] += pending
+        going = pending > 0
+        live, pending = live[going], pending[going]
     return totals, censored

@@ -225,18 +225,23 @@ def empirical_law(samples, M: int, n_total: int | None = None) -> TruncatedLaw:
     (for example censored simulation paths); the excluded fraction then sits
     in the tail mass, keeping TV lower bounds against this law valid.
     """
-    samples = np.asarray(samples)
+    samples = np.asarray(samples).ravel()
     if samples.size == 0 and not n_total:
         raise EmptySample("no samples")
     if M < 1:
         raise ValueError("window must be >= 1")
+    if samples.dtype.kind not in "iu" and not np.all(
+        np.isfinite(samples) & (samples == np.trunc(samples))
+    ):
+        raise ValueError("samples must be positive integers")
+    samples = samples.astype(np.int64, copy=False)
     if samples.size and samples.min() < 1:
         raise ValueError("samples must be positive integers")
     n = samples.size if n_total is None else int(n_total)
     if n < samples.size:
         raise ValueError("n_total smaller than the sample count")
-    inside = samples[samples <= M].astype(np.int64)
-    counts = np.bincount(inside, minlength=M + 1)[1:]
+    # one counting pass: everything above the window lands in bin M + 1
+    counts = np.bincount(np.minimum(samples, M + 1), minlength=M + 2)[1 : M + 1]
     probs = counts / n
     tail = float(n - counts.sum()) / n
     return _trusted(probs, tail, 1)

@@ -6,8 +6,11 @@ customers served in a busy period satisfies the branching identity
     N  =  1 + sum of N_i over the Poisson(lambda * S) arrivals during the
           initiating service,
 
-so N is simulated here as a branching frontier walk with one Poisson draw
-per service; no event timestamps are needed because only the count matters.
+so N is simulated here as a branching walk, one generation per round.
+Poisson laws superpose, so the arrivals during a whole generation's services
+are one Poisson draw per path per generation, with mean lambda times the
+generation's summed service time; no event timestamps are needed because
+only the count matters.
 Deterministic service makes N exactly Borel(lambda).  Two computable bounds
 control the distance to Borel(lambda) in total variation:
 
@@ -21,6 +24,7 @@ computed here, so both are reported side by side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +89,8 @@ def exponential() -> ServiceModel:
 
 
 def gamma_service(alpha: float) -> ServiceModel:
-    if alpha <= 0.0:
-        raise ValueError("Gamma shape must be positive")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"Gamma shape must be positive and finite, got {alpha}")
     return ServiceModel(kind="gamma", alpha=alpha)
 
 
@@ -209,12 +213,13 @@ def simulate(
         lambda k: lam * s.draw(rng, k),
         cap,
     )
-    kept = totals[~censored]
+    censored_count = int(censored.sum())
+    kept = totals[~censored] if censored_count else totals
     emp = empirical_law(kept, M=window, n_total=n)
     return BusyPeriodSummary(
         n_samples=n,
         empirical=emp,
-        censored_count=int(censored.sum()),
+        censored_count=censored_count,
         lam=lam,
         service=s.label(),
         seed=seed,

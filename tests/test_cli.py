@@ -154,6 +154,13 @@ class TestQueueCommands:
             main(["queue-sim", "--lambda", "0.2", "--service", "pareto:3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("spec", ["gamma:nan", "gamma:inf"])
+    def test_non_finite_gamma_shape_is_usage_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["queue-sim", "--lambda", "0.2", "--service", spec, "--n", "100"])
+        assert exc.value.code == 2
+        assert "bad service spec" in capsys.readouterr().err
+
 
 class TestSbCheck:
     def test_runs_suites_2_3_12(self, capsys, tmp_path):

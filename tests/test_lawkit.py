@@ -188,6 +188,24 @@ class TestEmpiricalLaw:
         with pytest.raises(ValueError):
             empirical_law(np.array([1, 2, 3]), M=3, n_total=2)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, float])
+    def test_counts_match_mask_and_bincount(self, dtype):
+        # samples straddle the window: counts inside it must equal a masked
+        # bincount, and everything above it goes to the tail
+        rng = np.random.default_rng(31)
+        M = 40
+        samples = rng.integers(1, 2 * M, size=20_000).astype(dtype)
+        law = empirical_law(samples, M=M, n_total=25_000)
+        inside = samples[samples <= M].astype(np.int64)
+        counts = np.bincount(inside, minlength=M + 1)[1:]
+        np.testing.assert_array_equal(law.probs, counts / 25_000)
+        assert law.tail_mass == float(25_000 - counts.sum()) / 25_000
+
+    @pytest.mark.parametrize("bad", [[1.5, 2.0], [1.0, np.nan], [np.inf, 2.0]])
+    def test_non_integral_samples_rejected(self, bad):
+        with pytest.raises(ValueError):
+            empirical_law(np.array(bad), M=3)
+
     def test_monte_carlo_convergence_rate(self):
         # empirical vs exact TV lower bound <= 2*sqrt(M/n) at n = 1e6
         rng = np.random.default_rng(123)

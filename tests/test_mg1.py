@@ -94,6 +94,10 @@ class TestServiceFunctionals:
     def test_factory_validation(self):
         with pytest.raises(ValueError):
             gamma_service(0.0)
+        # no unit-mean gamma law has a non-finite shape
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                gamma_service(alpha)
         with pytest.raises(ValueError):
             uniform_symmetric(1.5)
         with pytest.raises(ValueError):
