@@ -245,21 +245,22 @@ def sample_many(
     Returns ``(totals, censored)``; censored entries hold the cap value and
     are flagged rather than dropped.
     """
-    mus = np.full(n, p.lam)
-    return branching_totals(rng, mus, lambda k: np.full(k, p.lam), cap)
+    first = poisson_draw_vec(rng, np.full(n, p.lam))
+    return branching_totals(rng, first, lambda k: np.full(k, p.lam), cap)
 
 
 def branching_totals(
     rng: np.random.Generator,
-    first_mu: np.ndarray,
+    first: np.ndarray,
     next_mu,
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized generation walk shared by the Borel and busy-period samplers.
 
-    ``first_mu`` gives each path's initial Poisson mean; ``next_mu(k)`` must
-    return ``k`` fresh means, one per customer served in the round, consuming
-    the generator in a fixed order so runs are reproducible.
+    ``first`` gives each path's first-generation size (an integer array; a
+    path with 0 ends after its root); ``next_mu(k)`` must return ``k`` fresh
+    Poisson means, one per customer served in the round, consuming the
+    generator in a fixed order so runs are reproducible.
 
     Each round serves a whole generation: every customer pending on a live
     path.  Poisson laws superpose, so the next generation of a path is one
@@ -274,12 +275,11 @@ def branching_totals(
     """
     if cap < 1:
         raise ValueError(f"censoring cap must be >= 1, got {cap}")
+    first = np.asarray(first, dtype=np.int64).ravel()
     # totals count served plus pending customers; a live path has pending > 0
-    totals = poisson_draw_vec(rng, first_mu).ravel()
-    del first_mu  # the caller's full-length means are not needed past here
-    totals += 1
-    live = np.flatnonzero(totals > 1)
-    pending = totals[live] - 1
+    totals = first + 1
+    live = np.flatnonzero(first)
+    pending = first[live]
     censored = np.zeros(totals.size, dtype=bool)
     most = 1  # upper bound on the served customers of every live path
     while live.size:

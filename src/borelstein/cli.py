@@ -209,7 +209,7 @@ def cmd_queue_sim(args, parser) -> int:
     rows = []
     cell = 0
     for lam in sorted(grid):
-        exact = borel.law(BorelParams(lam), 1e-10, cap=args.cap)
+        exact = borel.law(BorelParams(lam), 1e-10)
         for service in services:
             run_seed = int(
                 acceptance.task_rng(args.seed, 20, cell).integers(0, 2**63 - 1)
@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=n_default, help="sample count")
         sp.add_argument("--seed", type=int, default=42, help="64-bit master seed")
         sp.add_argument("--cap", type=int, default=borel.DEFAULT_WINDOW_CAP,
-                        help="censoring cap / window cap")
+                        help="window cap (pmf); censoring cap on busy-period "
+                        "size (queue-sim)")
         sp.add_argument("--table-size", type=int, default=60,
                         help="coefficient-table window M")
         sp.add_argument("--out", default=None,
@@ -398,6 +399,8 @@ def main(argv=None) -> int:
         parser.error(f"--eps must lie in [{borel.MIN_EPS:g}, 1), got {args.eps}")
     if args.n is not None and args.n < 1:
         parser.error("--n must be >= 1")
+    if args.cap < 1:
+        parser.error("--cap must be >= 1")
     try:
         return _DISPATCH[args.command](args, parser)
     except _NUMERIC_ERRORS as exc:

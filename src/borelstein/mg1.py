@@ -7,10 +7,14 @@ customers served in a busy period satisfies the branching identity
           initiating service,
 
 so N is simulated here as a branching walk, one generation per round.
-Poisson laws superpose, so the arrivals during a whole generation's services
-are one Poisson draw per path per generation, with mean lambda times the
-generation's summed service time; no event timestamps are needed because
-only the count matters.
+Only counts matter, so no event timestamps are needed.  The first
+generation, the arrivals during one service, has the exact law
+``arrival_law(lam, s)`` (a Poisson mixture in closed form for every kind),
+so the first generations of all n busy periods are one multinomial draw of
+counts; the periods with no arrival are counted, not walked.  Poisson laws
+superpose, so the arrivals during each later generation's services are one
+Poisson draw per path, with mean lambda times the generation's summed
+service time.
 Deterministic service makes N exactly Borel(lambda).  Two computable bounds
 control the distance to Borel(lambda) in total variation:
 
@@ -24,17 +28,22 @@ computed here, so both are reported side by side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
-from .borel import DEFAULT_WINDOW_CAP, branching_totals
-from .errors import LambdaOutOfRange
+from .borel import DEFAULT_WINDOW_CAP, branching_totals, poisson_draw_vec
+from .errors import LambdaOutOfRange, WindowOverflow
 from .lawkit import TruncatedLaw, empirical_law
 
 DEFAULT_SUMMARY_WINDOW = 200
+# mass an arrival law may leave beyond its window (drawn at the window end)
+ARRIVAL_REMAINDER = 2.0**-60
+# largest arrival-law window; a law needing more is drawn per path
+MAX_ARRIVAL_WINDOW = 2**16
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,7 @@ class ServiceModel:
         if self.kind == "uniform":
             return f"uniform(±{self.half_width:g})"
         if self.kind == "two_point":
-            return f"two_point({self.low:g},{self.low_prob:g})"
+            return f"two_point({self.low:g}:{self.low_prob:g})"
         return self.kind
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -168,6 +177,105 @@ def bound_qbd2(lam: float, s: ServiceModel) -> float:
     return lam**2 * service_abs_moment(s) / (1.0 - 2.0 * lam)
 
 
+def _poisson_masses(mu: float, size: int) -> np.ndarray:
+    """P(Poisson(mu) = k) for k = 0, ..., size - 1, from the log-space mass."""
+    k = np.arange(size, dtype=float)
+    return np.exp(k * math.log(mu) - mu - gammaln(k + 1.0))
+
+
+def _certified_masses(masses, ratio_bound) -> np.ndarray:
+    """The window ``a[0..K]`` of a law on {0, 1, ...}, cut where its tail is negligible.
+
+    ``masses(size)`` returns the masses at 0, ..., size - 1 and
+    ``ratio_bound(k)`` an array ``rho`` with ``a[j+1] / a[j] <= rho[i]`` for
+    every ``j >= k[i]``.  K is the first index whose geometric-ratio
+    remainder ``a[K] rho / (1 - rho)``, with ``rho < 1``, is at most
+    ``ARRIVAL_REMAINDER`` = 2^-60, so the mass beyond the window is below
+    that.  The window doubles from 64 points; past ``MAX_ARRIVAL_WINDOW``
+    points it raises ``WindowOverflow``.
+    """
+    size = 64
+    while True:
+        a = masses(size)
+        rho = ratio_bound(np.arange(size, dtype=float))
+        with np.errstate(divide="ignore"):
+            rem = np.where(rho < 1.0, a * rho / (1.0 - rho), np.inf)
+        hit = np.flatnonzero(rem <= ARRIVAL_REMAINDER)
+        if hit.size:
+            return a[: hit[0] + 1]
+        if size >= MAX_ARRIVAL_WINDOW:
+            raise WindowOverflow(
+                f"no remainder below 2^-60 within {MAX_ARRIVAL_WINDOW} arrival counts"
+            )
+        size *= 2
+
+
+def _uniform_masses(lam: float, h: float, size: int) -> np.ndarray:
+    """P(Poisson(lam S) = k), k < size, for S uniform on [1 - h, 1 + h].
+
+    The mass is ``[P(k+1, hi) - P(k+1, lo)] / (2 h lam)`` with
+    ``P = gammainc``, ``lo, hi = lam (1 -+ h)``.  With lam < 1 and h <= 1
+    both values stay below ``P(1, 2) < 0.87``, so taking the difference on
+    the ``gammaincc`` side would gain nothing.  Dividing by 2 h lam costs
+    about eps / h: 2e-13 in total at h = 1e-3.
+    """
+    k1 = np.arange(1.0, size + 1.0)
+    diff = gammainc(k1, lam * (1.0 + h)) - gammainc(k1, lam * (1.0 - h))
+    return diff / (2.0 * h * lam)
+
+
+def arrival_law(lam: float, s: ServiceModel) -> np.ndarray:
+    """``a[k] = P(Poisson(lam S) = k)``, k = 0..K: the arrivals during one service.
+
+    Closed forms, in log space: Poisson(lam) for deterministic service;
+    NegBin(alpha, alpha / (alpha + lam)) for gamma(alpha), exponential being
+    alpha = 1; ``[P(k+1, lam(1+h)) - P(k+1, lam(1-h))] / (2 h lam)`` with
+    ``P = gammainc`` for uniform(1 +- h); a two-Poisson mixture for two-point.
+    The window ends at the first K whose geometric-ratio remainder
+    ``a[K] rho / (1 - rho)`` is at most 2^-60, where ``rho`` bounds
+    ``a[k+1] / a[k]`` beyond K: ``lam s_max / (K + 1)`` for service bounded
+    by ``s_max``, ``max(1, (K + alpha) / (K + 1)) lam / (alpha + lam)`` for
+    gamma.  A law whose remainder needs more than ``MAX_ARRIVAL_WINDOW``
+    points (gamma shapes below about 4e-4 at lam = 0.9, smaller ones at
+    smaller lam) raises ``WindowOverflow``.  The mass beyond K, at most
+    2^-60, is drawn as K by ``rng.multinomial``, which gives the last
+    category ``1 - sum(a[:-1])``; among 10^6 draws it moves one with
+    probability below 1e-12.
+    """
+    if not 0.0 < lam < 1.0:
+        raise LambdaOutOfRange(f"need 0 < lambda < 1, got {lam}")
+    if s.kind in ("exponential", "gamma"):
+        alpha = 1.0 if s.kind == "exponential" else s.alpha
+        tilt = lam / (alpha + lam)
+
+        def masses(size):
+            # log a[k] = alpha log p + sum_{i<k} log((alpha + i) / (i + 1) (1 - p))
+            i = np.arange(size - 1, dtype=float)
+            steps = np.log((alpha + i) / (i + 1.0) * tilt)
+            log_a = np.concatenate([[0.0], np.cumsum(steps)])
+            return np.exp(log_a - alpha * math.log1p(lam / alpha))
+
+        return _certified_masses(
+            masses, lambda k: np.maximum(1.0, (k + alpha) / (k + 1.0)) * tilt
+        )
+    if s.kind == "deterministic":
+        top = lam
+        masses = functools.partial(_poisson_masses, lam)
+    elif s.kind == "uniform":
+        top = lam * (1.0 + s.half_width)
+        masses = functools.partial(_uniform_masses, lam, s.half_width)
+    elif s.kind == "two_point":
+        top = lam * s.high
+
+        def masses(size):
+            low = _poisson_masses(lam * s.low, size)
+            return s.low_prob * low + (1.0 - s.low_prob) * _poisson_masses(top, size)
+
+    else:
+        raise ValueError(f"unknown service kind {s.kind!r}")
+    return _certified_masses(masses, lambda k: top / (k + 1.0))
+
+
 @dataclass(frozen=True)
 class BusyPeriodSummary:
     """Seeded-simulation summary with censoring accounted explicitly.
@@ -199,23 +307,40 @@ def simulate(
 ) -> BusyPeriodSummary:
     """``n`` independent busy periods, bit-reproducible for a given seed.
 
-    All draws run through one generator in a fixed vectorized order, so the
-    summary is a pure function of ``(lam, s, n, seed, cap, window)``.
+    The first generations are one ``rng.multinomial(n, arrival_law(lam, s))``
+    draw; the busy periods with no arrival during the first service enter
+    the empirical law, the censored count and the mean as a count, and only
+    the others are walked by ``branching_totals``.  When ``arrival_law``
+    cannot certify its window (``WindowOverflow``), each path's first
+    generation is drawn from its own service time instead and fed to the
+    same walk.  All draws run through one generator in a fixed vectorized
+    order, so the summary is a pure function of
+    ``(lam, s, n, seed, cap, window)``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0.0 < lam < 1.0:
         raise LambdaOutOfRange(f"need 0 < lambda < 1, got {lam}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    try:
+        a = arrival_law(lam, s)
+    except WindowOverflow:
+        # the law cannot be cut below 2^-60 in MAX_ARRIVAL_WINDOW points
+        singles, first = 0, poisson_draw_vec(rng, lam * s.draw(rng, n))
+    else:
+        # the last category also takes the mass beyond the window, since
+        # multinomial gives it 1 - sum(a[:-1]): such a count is drawn as K
+        counts = rng.multinomial(n, a)
+        singles, first = int(counts[0]), np.repeat(np.arange(1, a.size), counts[1:])
     totals, censored = branching_totals(
-        rng,
-        lam * s.draw(rng, n),
-        lambda k: lam * s.draw(rng, k),
-        cap,
+        rng, first, lambda k: lam * s.draw(rng, k), cap
     )
     censored_count = int(censored.sum())
     kept = totals[~censored] if censored_count else totals
-    emp = empirical_law(kept, M=window, n_total=n)
+    # the busy periods with no arrival enter as a count, not as an array of ones
+    emp = empirical_law(kept, M=window, n_total=n, ones=singles)
+    served = singles + kept.size
+    mean = (singles + int(kept.sum())) / served if served else float("nan")
     return BusyPeriodSummary(
         n_samples=n,
         empirical=emp,
@@ -223,5 +348,5 @@ def simulate(
         lam=lam,
         service=s.label(),
         seed=seed,
-        mean_uncensored=float(kept.mean()) if kept.size else float("nan"),
+        mean_uncensored=mean,
     )

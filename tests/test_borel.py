@@ -43,12 +43,12 @@ def _reference_poisson_draw_vec(rng, mu):
     return k
 
 
-def _reference_branching_totals(rng, first_mu, next_mu, cap):
+def _reference_branching_totals(rng, first, next_mu, cap):
     """The uncompacted per-customer walk, scanning every path each round."""
-    n = first_mu.size
+    n = first.size
     total = np.ones(n, dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
-    pending = _reference_poisson_draw_vec(rng, first_mu)
+    pending = first.copy()
     active = pending > 0
     while active.any():
         idx = np.flatnonzero(active)
@@ -189,10 +189,11 @@ class TestPoissonInversion:
 class TestSameStream:
     """The library's walks against the full-scan, per-customer references.
 
-    The Poisson inversion and the single-generation ``cap = 1`` walk draw the
-    same stream as the full-scan references, entry for entry.  Deeper walks
-    spend the stream a generation at a time, so they are compared in law:
-    with the per-customer reference and with exact values.
+    The Poisson inversion draws the same stream as the full-scan reference,
+    entry for entry.  At ``cap = 1`` both walks draw nothing: they return
+    ``first + 1`` with the same censoring.  Deeper walks spend the stream a
+    generation at a time, so they are compared in law: with the per-customer
+    reference and with exact values.
     """
 
     @pytest.mark.parametrize(
@@ -224,7 +225,8 @@ class TestSameStream:
         lam, n = 0.8, 20_000
         p_over = 1.0 - math.fsum(borel.pmf_values(BorelParams(lam), cap))
         se = math.sqrt(p_over * (1.0 - p_over) / n)
-        args = (np.full(n, lam), lambda k: np.full(k, lam), cap)
+        first = poisson_draw_vec(np.random.default_rng(22), np.full(n, lam))
+        args = (first, lambda k: np.full(k, lam), cap)
         got = borel.branching_totals(np.random.default_rng(23), *args)
         want = _reference_branching_totals(np.random.default_rng(23), *args)
         for totals, censored in (got, want):
@@ -232,7 +234,7 @@ class TestSameStream:
             assert np.all(totals[censored] == cap)
             assert totals[~censored].max() <= cap
         if cap == 1:
-            # one generation: both walks make the same single draw
+            # no walk past the first generation: both return the same totals
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
 
@@ -315,13 +317,13 @@ class TestSampler:
         # not the largest busy period (over 1,000 customers here)
         calls = 0
 
-        def counting_walk(rng, first_mu, next_mu, cap):
+        def counting_walk(rng, first, next_mu, cap):
             def counted(k):
                 nonlocal calls
                 calls += 1
                 return next_mu(k)
 
-            return borel.branching_totals(rng, first_mu, counted, cap)
+            return borel.branching_totals(rng, first, counted, cap)
 
         monkeypatch.setattr(mg1, "branching_totals", counting_walk)
         mg1.simulate(0.9, mg1.exponential(), 100_000, seed=26)

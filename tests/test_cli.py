@@ -149,6 +149,19 @@ class TestQueueCommands:
             "qbd1,qbd2_or_NA,var_s,e_abs_s"
         )
 
+    def test_cap_censors_below_the_exact_window(self, capsys):
+        # --cap is the censoring cap only; the exact window has its own cap
+        argv = ["queue-sim", "--lambda", "0.9", "--service", "exponential"]
+        code, out, _ = run(argv + ["--n", "1000", "--cap", "20"], capsys)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert int(dict(zip(header.split(","), row.split(",")))["censored"]) > 0
+
+    def test_cap_below_one_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["queue-sim", "--lambda", "0.5", "--n", "100", "--cap", "0"])
+        assert exc.value.code == 2
+
     def test_bad_service_spec_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["queue-sim", "--lambda", "0.2", "--service", "pareto:3"])
@@ -206,6 +219,15 @@ class TestReport:
         summary = json.loads((a / "summary.json").read_text())
         assert len(summary["criteria"]) == 12
         assert all(c["status"] == "pass" for c in summary["criteria"])
+
+    def test_quick_report_rows_match_header(self, capsys, tmp_path):
+        assert main(["report", "--quick", "--seed", "42", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for path in sorted(tmp_path.glob("*.csv")):
+            header, *rows = path.read_text().splitlines()
+            width = len(header.split(","))
+            for row in rows:
+                assert len(row.split(",")) == width, (path.name, row)
 
     def test_different_seeds_change_simulation_output(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

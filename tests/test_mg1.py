@@ -6,11 +6,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from borelstein import borel
+from borelstein import borel, mg1
 from borelstein.borel import BorelParams
-from borelstein.errors import LambdaOutOfRange
+from borelstein.errors import LambdaOutOfRange, WindowOverflow
 from borelstein.lawkit import tv_distance
 from borelstein.mg1 import (
+    arrival_law,
     bound_qbd1,
     bound_qbd2,
     deterministic,
@@ -137,6 +138,98 @@ class TestBounds:
             r2 = [bound_qbd2(lam, s) / lam**2 for lam in (0.05, 0.025, 0.0125)]
             target = service_abs_moment(s)
             assert abs(r2[-1] - target) < abs(r2[0] - target)
+
+
+def oracle_arrival_law(lam, s, size):
+    """P(Poisson(lam S) = k) for k < size, and the mass beyond, at 40 digits."""
+    with mp.workdps(40):
+        lam = mp.mpf(lam)
+
+        def pois(k, x):
+            return mp.exp(k * mp.log(x) - x - mp.loggamma(k + 1))
+
+        if s.kind == "deterministic":
+            terms = [pois(k, lam) for k in range(size)]
+        elif s.kind in ("exponential", "gamma"):
+            a = mp.mpf(1 if s.kind == "exponential" else s.alpha)
+            p = a / (a + lam)
+            terms = [
+                mp.exp(
+                    mp.loggamma(k + a) - mp.loggamma(a) - mp.loggamma(k + 1)
+                    + a * mp.log(p) + k * mp.log(1 - p)
+                )
+                for k in range(size)
+            ]
+        elif s.kind == "uniform":
+            h = mp.mpf(s.half_width)
+            lo, hi = lam * (1 - h), lam * (1 + h)
+            terms = [
+                mp.gammainc(k + 1, lo, hi, regularized=True) / (2 * h * lam)
+                for k in range(size)
+            ]
+        else:
+            q, low = mp.mpf(s.low_prob), mp.mpf(s.low)
+            high = (1 - q * low) / (1 - q)
+            terms = [
+                q * pois(k, lam * low) + (1 - q) * pois(k, lam * high)
+                for k in range(size)
+            ]
+        return terms, 1 - mp.fsum(terms)
+
+
+ARRIVAL_SERVICES = [
+    deterministic(),
+    exponential(),
+    gamma_service(0.5),
+    gamma_service(4.0),
+    uniform_symmetric(1e-3),
+    uniform_symmetric(1.0),
+    two_point(0.5, 0.5),
+]
+
+
+class TestArrivalLaw:
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("service", ARRIVAL_SERVICES, ids=lambda s: s.label())
+    def test_matches_oracle_with_certified_remainder(self, service, lam):
+        a = arrival_law(lam, service)
+        terms, beyond = oracle_arrival_law(lam, service, a.size)
+        # the uniform masses are a difference of two incomplete-gamma values
+        # divided by 2 h lam, so they lose about eps / h: 2e-13 at h = 1e-3,
+        # far below the 1e-3 a multinomial over 10^6 draws can resolve
+        tol = 1e-12 if service.kind == "uniform" else 1e-14
+        assert math.fsum(abs(x - float(t)) for x, t in zip(a, terms)) <= tol
+        assert abs(math.fsum(a) - 1.0) <= max(tol, 1e-13)
+        assert abs(math.fsum(np.arange(a.size) * a) - lam) <= max(tol, 1e-13)
+        K = a.size - 1
+        if service.kind in ("exponential", "gamma"):
+            alpha = 1.0 if service.kind == "exponential" else service.alpha
+            rho = max(1.0, (K + alpha) / (K + 1)) * lam / (alpha + lam)
+        else:
+            top = {"deterministic": 1.0, "uniform": 1.0 + service.half_width}.get(
+                service.kind, service.high
+            )
+            rho = lam * top / (K + 1)
+        assert rho < 1.0 and a[K] * rho / (1.0 - rho) <= 2.0**-60
+        assert 0.0 <= float(beyond) <= 2.0**-60
+
+    def test_tiny_gamma_shape_takes_the_per_path_route(self, monkeypatch):
+        lam, n = 0.5, 100_000
+        with pytest.raises(WindowOverflow):
+            arrival_law(lam, gamma_service(1e-6))
+        sizes = []
+
+        def recording_draw(rng, mu):
+            sizes.append(np.size(mu))
+            return borel.poisson_draw_vec(rng, mu)
+
+        monkeypatch.setattr(mg1, "poisson_draw_vec", recording_draw)
+        summary = simulate(lam, gamma_service(1e-6), n, seed=31)
+        assert sizes == [n]
+        var_n = (lam + lam**2 * 1e6) / (1.0 - lam) ** 3
+        assert summary.censored_count == 0
+        se = math.sqrt(var_n / n)
+        assert abs(summary.mean_uncensored - 1.0 / (1.0 - lam)) <= 4.0 * se
 
 
 class TestSimulator:
