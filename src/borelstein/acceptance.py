@@ -26,6 +26,12 @@ from .lawkit import make_law, moments, tv_distance
 LAMBDA_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 T_GRID = [0.25, 0.5, 1.0, 2.0, 4.0]
 QUEUE_LAMBDAS = [0.1, 0.2, 0.3, 0.4]
+QUEUE_SERVICES = [
+    mg1.exponential(),
+    mg1.gamma_service(4.0),
+    mg1.uniform_symmetric(0.5),
+    mg1.two_point(0.5, 0.5),
+]
 SMALL_LAMBDAS = [0.05, 0.025, 0.0125]
 
 # finer truncation for reference laws, so reference error cannot dominate
@@ -168,13 +174,9 @@ def run_stein_envelope(
     for lam in grid:
         p = BorelParams(lam)
         t = stein.build_table(p, M)
-        q = borel.pmf_values(p, M)
         excess = -math.inf
-        for k in range(2, M + 1):
-            j = np.arange(1, M + 1 - k)
-            if j.size == 0:
-                continue
-            envelope = j * lam * q[j - 1] / (k - 1)
+        for k in range(2, M):
+            envelope = stein.coefficient_bound(p, k, np.arange(1, M + 1 - k))
             excess = max(excess, float(np.max(np.abs(t.a[k, k + 1 : M + 1]) - envelope)))
         worst = max(worst, excess)
         rows.append([lam, M, excess])
@@ -319,15 +321,6 @@ def run_md1_exactness(seed: int = 42, quick: bool = False) -> CriterionResult:
     )
 
 
-def _queue_services():
-    return [
-        mg1.exponential(),
-        mg1.gamma_service(4.0),
-        mg1.uniform_symmetric(0.5),
-        mg1.two_point(0.5, 0.5),
-    ]
-
-
 def run_queue_bounds(seed: int = 42, quick: bool = False) -> CriterionResult:
     """10: both bounds dominate the sampled distance; both scale as lambda^2."""
     n = 100_000 if quick else 1_000_000
@@ -337,7 +330,7 @@ def run_queue_bounds(seed: int = 42, quick: bool = False) -> CriterionResult:
         p = BorelParams(lam)
         exact = borel.law(p, 1e-10)
         sigma = math.sqrt(exact.end / (4.0 * n))
-        for service in _queue_services():
+        for service in QUEUE_SERVICES:
             rng_seed = int(task_rng(seed, 10, cell).integers(0, 2**63 - 1))
             cell += 1
             summary = mg1.simulate(lam, service, n, seed=rng_seed, window=exact.end)
@@ -360,7 +353,7 @@ def run_queue_bounds(seed: int = 42, quick: bool = False) -> CriterionResult:
                 ]
             )
     # quadratic scaling: bound / lambda^2 must settle on the service constant
-    for service in _queue_services():
+    for service in QUEUE_SERVICES:
         var_s = mg1.service_variance(service)
         abs_m = mg1.service_abs_moment(service)
         r1 = [mg1.bound_qbd1(lam, service) / lam**2 for lam in SMALL_LAMBDAS]

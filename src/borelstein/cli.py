@@ -1,22 +1,31 @@
 """Command-line front end.
 
-Subcommands::
+Subcommands, and the flags each takes; any other flag is a usage error::
 
     pmf           adaptive pmf/cdf table for one lambda
+                  --lambda --lambda-grid --eps --cap --out --format
     stein-check   acceptance suites 4-7: envelope, Abel, residual, sup-norm
+                  --lambda --lambda-grid --table-size --seed --quick --out
     sb-check      acceptance suites 2, 3, 12: size-bias identities
+                  --lambda --lambda-grid --seed --quick --out
     queue-sim     seeded busy-period simulation with bound columns
+                  --lambda --lambda-grid --service --n --seed --cap --out --format
     queue-bounds  bound columns only (no simulation)
+                  --lambda --lambda-grid --service --out --format
     tails         acceptance suite 11: exact tails vs lower/upper bounds
+                  --lambda --lambda-grid --seed --quick --out
     report        every acceptance suite; CSVs plus a JSON summary
+                  --seed --quick --out
 
 The check commands and ``report`` run the acceptance suites through one
 runner at the suites' own thresholds; ``--lambda``/``--lambda-grid`` narrow
 the rate grid and ``--table-size`` sets M of suites 4, 6, 7.  ``--out DIR``
 (``report``: default ``report_out``) gets ``crit_XX_<slug>.csv`` per
 criterion plus ``summary.json``; ``stein-check --lambda L`` adds
-``stein_table.csv``.  ``sb-check`` ignores ``--eps``: suites 2 and 3 keep
-the 1e-10 / 1e-13 targets their 1e-8 thresholds were calibrated for.
+``stein_table.csv``.  ``--service`` takes a kind of ``mg1.SERVICE_KINDS``
+followed by that kind's values, e.g. ``two_point:LOW:LOW_PROB`` (``--help``
+lists them all); an output row's ``service_kind:service_params`` parses back
+to the same service.
 
 Every command is deterministic given its flags and ``--seed``; floats are
 printed with 17 significant digits so output round-trips exactly.  Exit
@@ -114,48 +123,31 @@ def _parse_lambda_grid(args, parser):
     return grid
 
 
+# the spellings --service takes, e.g. "two_point:LOW:LOW_PROB"
+_SERVICE_SPECS = " | ".join(
+    ":".join([kind, *(f.upper() for f in fields)])
+    for kind, (_, fields) in mg1.SERVICE_KINDS.items()
+)
+
+
 def _parse_service(spec: str, parser) -> mg1.ServiceModel:
     kind, _, rest = spec.partition(":")
+    if kind not in mg1.SERVICE_KINDS:
+        parser.error(f"unknown service {spec!r}; use {_SERVICE_SPECS}")
+    factory, fields = mg1.SERVICE_KINDS[kind]
+    values = rest.split(":") if rest else []
     try:
-        if kind == "deterministic":
-            return mg1.deterministic()
-        if kind == "exponential":
-            return mg1.exponential()
-        if kind == "gamma":
-            return mg1.gamma_service(float(rest))
-        if kind == "uniform":
-            return mg1.uniform_symmetric(float(rest))
-        if kind == "twopoint":
-            low, prob = rest.split(":")
-            return mg1.two_point(float(low), float(prob))
+        if len(values) != len(fields):
+            raise ValueError(f"{kind} takes {len(fields)} value(s), got {len(values)}")
+        return factory(*map(float, values))
     except (ValueError, BorelSteinError) as exc:
         parser.error(f"bad service spec {spec!r}: {exc}")
-    parser.error(
-        f"unknown service {spec!r}; use deterministic, exponential, gamma:A, "
-        "uniform:A, or twopoint:L:P"
-    )
 
 
 def _services_from(args, parser):
     if args.service == "all":
-        return [
-            mg1.deterministic(),
-            mg1.exponential(),
-            mg1.gamma_service(4.0),
-            mg1.uniform_symmetric(0.5),
-            mg1.two_point(0.5, 0.5),
-        ]
+        return [mg1.deterministic(), *acceptance.QUEUE_SERVICES]
     return [_parse_service(tok, parser) for tok in args.service.split(";")]
-
-
-def _service_fields(s: mg1.ServiceModel):
-    if s.kind == "gamma":
-        return s.kind, _fmt(s.alpha)
-    if s.kind == "uniform":
-        return s.kind, _fmt(s.half_width)
-    if s.kind == "two_point":
-        return s.kind, f"{s.low:g}:{s.low_prob:g}"
-    return s.kind, ""
 
 
 def cmd_pmf(args, parser) -> int:
@@ -186,12 +178,12 @@ QUEUE_COLUMNS = [
 
 
 def _queue_row(lam, service, n, censored, tv_lo, tv_hi):
-    kind, params = _service_fields(service)
+    _, fields = mg1.SERVICE_KINDS[service.kind]
     qbd2 = mg1.bound_qbd2(lam, service) if lam < 0.5 else None
     return [
         lam,
-        kind,
-        params,
+        service.kind,
+        ":".join(_fmt(getattr(service, f)) for f in fields),
         n,
         censored,
         tv_lo,
@@ -336,73 +328,65 @@ def cmd_report(args, parser) -> int:
     return _run_suites(args, parser, every, default_out="report_out")
 
 
+# one definition per flag; each command takes only the flags its handler reads
+_FLAGS = {
+    "lambda": dict(dest="lam", type=float, default=None,
+                   help="single offspring/arrival rate in (0,1)"),
+    "lambda-grid": dict(default=None, help="comma-separated rates, e.g. 0.1,0.3,0.5"),
+    "eps": dict(type=float, default=1e-10, help="truncation target for adaptive windows"),
+    "n": dict(type=int, default=100_000, help="sample count"),
+    "seed": dict(type=int, default=42, help="64-bit master seed"),
+    "cap": dict(type=int, default=borel.DEFAULT_WINDOW_CAP,
+                help="window cap (pmf); censoring cap on busy-period size (queue-sim)"),
+    "table-size": dict(type=int, default=60, help="coefficient-table window M"),
+    "out": dict(default=None,
+                help="output file (pmf, queue-*) or directory (checks, report)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "quick": dict(action="store_true", help="reduced sample sizes for fast runs"),
+    "service": dict(default="all",
+                    help=f"{_SERVICE_SPECS} (semicolon-separated list, or 'all')"),
+}
+
+# command -> (handler, help, the flags it takes)
+_COMMANDS = {
+    "pmf": (cmd_pmf, "pmf/cdf table", "lambda lambda-grid eps cap out format"),
+    "stein-check": (cmd_stein_check, "coefficient and equation suites",
+                    "lambda lambda-grid table-size seed quick out"),
+    "sb-check": (cmd_sb_check, "size-bias identity cross-checks",
+                 "lambda lambda-grid seed quick out"),
+    "queue-sim": (cmd_queue_sim, "busy-period simulation",
+                  "lambda lambda-grid service n seed cap out format"),
+    "queue-bounds": (cmd_queue_bounds, "bound columns only",
+                     "lambda lambda-grid service out format"),
+    "tails": (cmd_tails, "exact tails vs bounds", "lambda lambda-grid seed quick out"),
+    "report": (cmd_report, "run every suite, write CSVs + summary", "seed quick out"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="borelstein",
         description="Borel-distribution toolkit: laws, identities, bounds, checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, n_default=100_000):
-        sp.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="single offspring/arrival rate in (0,1)")
-        sp.add_argument("--lambda-grid", default=None,
-                        help="comma-separated rates, e.g. 0.1,0.3,0.5")
-        sp.add_argument("--eps", type=float, default=1e-10,
-                        help="truncation target for adaptive windows")
-        sp.add_argument("--n", type=int, default=n_default, help="sample count")
-        sp.add_argument("--seed", type=int, default=42, help="64-bit master seed")
-        sp.add_argument("--cap", type=int, default=borel.DEFAULT_WINDOW_CAP,
-                        help="window cap (pmf); censoring cap on busy-period "
-                        "size (queue-sim)")
-        sp.add_argument("--table-size", type=int, default=60,
-                        help="coefficient-table window M")
-        sp.add_argument("--out", default=None,
-                        help="output file (pmf, queue-*) or directory (checks, report)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--quick", action="store_true",
-                        help="reduced sample sizes for fast runs")
-        return sp
-
-    common(sub.add_parser("pmf", help="pmf/cdf table"))
-    common(sub.add_parser("stein-check", help="coefficient and equation suites"))
-    common(sub.add_parser("sb-check", help="size-bias identity cross-checks"))
-    qs = common(sub.add_parser("queue-sim", help="busy-period simulation"))
-    qb = common(sub.add_parser("queue-bounds", help="bound columns only"))
-    for sp in (qs, qb):
-        sp.add_argument(
-            "--service",
-            default="all",
-            help="deterministic | exponential | gamma:A | uniform:A | twopoint:L:P "
-            "(semicolon-separated list, or 'all')",
-        )
-    common(sub.add_parser("tails", help="exact tails vs bounds"))
-    common(sub.add_parser("report", help="run every suite, write CSVs + summary"))
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
-
-
-_DISPATCH = {
-    "pmf": cmd_pmf,
-    "stein-check": cmd_stein_check,
-    "sb-check": cmd_sb_check,
-    "queue-sim": cmd_queue_sim,
-    "queue-bounds": cmd_queue_bounds,
-    "tails": cmd_tails,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.eps is not None and not borel.MIN_EPS <= args.eps < 1.0:
+    if "eps" in args and not borel.MIN_EPS <= args.eps < 1.0:
         parser.error(f"--eps must lie in [{borel.MIN_EPS:g}, 1), got {args.eps}")
-    if args.n is not None and args.n < 1:
+    if "n" in args and args.n < 1:
         parser.error("--n must be >= 1")
-    if args.cap < 1:
+    if "cap" in args and args.cap < 1:
         parser.error("--cap must be >= 1")
     try:
-        return _DISPATCH[args.command](args, parser)
+        return _COMMANDS[args.command][0](args, parser)
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

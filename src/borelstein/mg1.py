@@ -55,7 +55,7 @@ class ServiceModel:
     """
 
     kind: str
-    alpha: float = 0.0  # Gamma shape
+    alpha: float = 0.0  # Gamma shape; 1 for exponential, 0 for the other kinds
     half_width: float = 0.0  # symmetric-uniform half width
     low: float = 0.0  # two-point lower value
     low_prob: float = 0.0  # mass on the lower value
@@ -77,9 +77,7 @@ class ServiceModel:
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "deterministic":
             return np.ones(size)
-        if self.kind == "exponential":
-            return rng.standard_exponential(size)
-        if self.kind == "gamma":
+        if self.alpha:  # gamma, exponential included
             return rng.gamma(self.alpha, 1.0 / self.alpha, size)
         if self.kind == "uniform":
             a = self.half_width
@@ -94,7 +92,8 @@ def deterministic() -> ServiceModel:
 
 
 def exponential() -> ServiceModel:
-    return ServiceModel(kind="exponential")
+    """Gamma service with shape 1, labelled ``exponential``."""
+    return ServiceModel(kind="exponential", alpha=1.0)
 
 
 def gamma_service(alpha: float) -> ServiceModel:
@@ -117,13 +116,22 @@ def two_point(low: float, low_prob: float) -> ServiceModel:
     return ServiceModel(kind="two_point", low=low, low_prob=low_prob)
 
 
+# kind name, as labels and CSVs print it -> its factory and the ServiceModel
+# fields the factory takes, in argument order
+SERVICE_KINDS = {
+    "deterministic": (deterministic, ()),
+    "exponential": (exponential, ()),
+    "gamma": (gamma_service, ("alpha",)),
+    "uniform": (uniform_symmetric, ("half_width",)),
+    "two_point": (two_point, ("low", "low_prob")),
+}
+
+
 def service_variance(s: ServiceModel) -> float:
     """Var(S) in closed form for every supported kind."""
     if s.kind == "deterministic":
         return 0.0
-    if s.kind == "exponential":
-        return 1.0
-    if s.kind == "gamma":
+    if s.alpha:  # gamma, exponential included
         return 1.0 / s.alpha
     if s.kind == "uniform":
         return s.half_width**2 / 3.0
@@ -152,8 +160,8 @@ def service_abs_moment(s: ServiceModel) -> float:
         return s.low_prob * s.low * (1.0 - s.low) + (1.0 - s.low_prob) * s.high * (
             s.high - 1.0
         )
-    if s.kind in ("exponential", "gamma"):
-        a = 1.0 if s.kind == "exponential" else s.alpha
+    if s.alpha:  # gamma, exponential included
+        a = s.alpha
         below = (1.0 + 1.0 / a) * gammainc(a + 2.0, a) - gammainc(a + 1.0, a)
         return float(1.0 / a - 2.0 * below)
     raise ValueError(f"unknown service kind {s.kind!r}")
@@ -244,8 +252,8 @@ def arrival_law(lam: float, s: ServiceModel) -> np.ndarray:
     """
     if not 0.0 < lam < 1.0:
         raise LambdaOutOfRange(f"need 0 < lambda < 1, got {lam}")
-    if s.kind in ("exponential", "gamma"):
-        alpha = 1.0 if s.kind == "exponential" else s.alpha
+    if s.alpha:  # gamma, exponential included
+        alpha = s.alpha
         tilt = lam / (alpha + lam)
 
         def masses(size):

@@ -1,5 +1,6 @@
 """Command-line interface tests: outputs, formats, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import borelstein
-from borelstein.cli import main
+from borelstein import acceptance, mg1
+from borelstein.cli import _parse_service, build_parser, main
 
 
 def run(argv, capsys):
@@ -136,7 +138,7 @@ class TestQueueCommands:
                 "--lambda",
                 "0.2",
                 "--service",
-                "twopoint:0.5:0.5",
+                "two_point:0.5:0.5",
                 "--n",
                 "5000",
             ],
@@ -167,12 +169,108 @@ class TestQueueCommands:
             main(["queue-sim", "--lambda", "0.2", "--service", "pareto:3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("deterministic:5", "bad service spec"),
+            ("exponential:abc", "bad service spec"),
+            ("gamma:4:9", "bad service spec"),
+            ("twopoint:0.5:0.5", "unknown service"),
+        ],
+    )
+    def test_malformed_service_spec_is_usage_error(self, spec, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["queue-bounds", "--lambda", "0.2", "--service", spec])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_service_columns_round_trip(self, capsys):
+        # service_kind:service_params parses back to the model that printed it
+        cases = {
+            "all": [mg1.deterministic(), *acceptance.QUEUE_SERVICES],
+            "gamma:0.123456789;two_point:0.123456789:0.3": [
+                mg1.gamma_service(0.123456789),
+                mg1.two_point(0.123456789, 0.3),
+            ],
+        }
+        parser = build_parser()
+        kinds = set()
+        for spec, services in cases.items():
+            code, out, _ = run(
+                ["queue-bounds", "--lambda", "0.3", "--service", spec], capsys
+            )
+            assert code == 0
+            header, *rows = out.strip().splitlines()
+            cols = header.split(",")
+            assert len(rows) == len(services)
+            for line, service in zip(rows, services):
+                row = dict(zip(cols, line.split(",")))
+                kinds.add(row["service_kind"])
+                printed = f"{row['service_kind']}:{row['service_params']}"
+                assert _parse_service(printed, parser) == service
+        assert kinds == set(mg1.SERVICE_KINDS)
+
     @pytest.mark.parametrize("spec", ["gamma:nan", "gamma:inf"])
     def test_non_finite_gamma_shape_is_usage_error(self, spec, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["queue-sim", "--lambda", "0.2", "--service", spec, "--n", "100"])
         assert exc.value.code == 2
         assert "bad service spec" in capsys.readouterr().err
+
+
+COMMAND_FLAGS = {
+    "pmf": "lambda lambda-grid eps cap out format",
+    "stein-check": "lambda lambda-grid table-size seed quick out",
+    "sb-check": "lambda lambda-grid seed quick out",
+    "tails": "lambda lambda-grid seed quick out",
+    "queue-sim": "lambda lambda-grid service n seed cap out format",
+    "queue-bounds": "lambda lambda-grid service out format",
+    "report": "seed quick out",
+}
+
+
+class TestFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {
+                opt[2:]
+                for action in sp._actions
+                for opt in action.option_strings
+                if opt != "--help" and opt.startswith("--")
+            }
+            for name, sp in sub.choices.items()
+        }
+        assert got == {name: set(flags.split()) for name, flags in COMMAND_FLAGS.items()}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sb-check", "--n", "5"],
+            ["report", "--lambda", "0.3"],
+            ["queue-bounds", "--seed", "1"],
+            ["pmf", "--lambda", "0.5", "--quick"],
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pmf", "--lambda", "0.5", "--cap", "0"], "--cap must be >= 1"),
+            (["queue-sim", "--lambda", "0.5", "--n", "0"], "--n must be >= 1"),
+        ],
+    )
+    def test_range_checks_on_the_commands_that_take_them(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSbCheck:

@@ -35,6 +35,16 @@ class TestServiceFunctionals:
         assert service_variance(uniform_symmetric(0.5)) == pytest.approx(0.25 / 3)
         assert service_variance(two_point(0.5, 0.5)) == pytest.approx(0.25)
 
+    def test_exponential_draws_the_standard_exponential_stream(self):
+        # exponential() is gamma(1): rng.gamma(1, 1) must stay this exact stream
+        n = 1000
+        for seed in range(5):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(
+                exponential().draw(rng_a, n), rng_b.standard_exponential(n)
+            )
+            assert rng_a.random() == rng_b.random()
+
     def test_two_point_high_solves_mean_one(self):
         s = two_point(0.5, 0.5)
         assert s.high == pytest.approx(1.5)
