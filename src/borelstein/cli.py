@@ -371,14 +371,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(command_parser=sp)
         for flag in flags.split():
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    # usage errors print the subcommand's own usage line, not the top-level one
+    parser = args.command_parser
+    if unread:
+        parser.error(f"unrecognized arguments: {' '.join(unread)}")
     if "eps" in args and not borel.MIN_EPS <= args.eps < 1.0:
         parser.error(f"--eps must lie in [{borel.MIN_EPS:g}, 1), got {args.eps}")
     if "n" in args and args.n < 1:

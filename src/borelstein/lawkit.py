@@ -218,24 +218,23 @@ def tv_distance(a: TruncatedLaw, b: TruncatedLaw) -> TVInterval:
     return TVInterval(lower=lower, upper=upper)
 
 
-def empirical_law(
-    samples, M: int, n_total: int | None = None, ones: int = 0
-) -> TruncatedLaw:
+def _count_law(counts: np.ndarray, n: int) -> TruncatedLaw:
+    """The law with mass ``counts[i] / n`` at i + 1; the rest of n is tail mass."""
+    return _trusted(counts / n, float(n - counts.sum()) / n, 1)
+
+
+def empirical_law(samples, M: int, n_total: int | None = None) -> TruncatedLaw:
     """Empirical law of positive-integer samples on the window {1, ..., M}.
 
-    ``ones`` counts further draws equal to 1 that ``samples`` does not list
-    (busy periods that end with their first service, drawn as a count).
-    ``n_total`` lets callers account for draws excluded from both (for
-    example censored simulation paths); the excluded fraction then sits in
-    the tail mass, keeping TV lower bounds against this law valid.
+    ``n_total`` lets callers account for draws excluded from ``samples``
+    (for example censored simulation paths); the excluded fraction then sits
+    in the tail mass, keeping TV lower bounds against this law valid.
     """
     samples = np.asarray(samples).ravel()
-    if samples.size + ones == 0 and not n_total:
+    if samples.size == 0 and not n_total:
         raise EmptySample("no samples")
     if M < 1:
         raise ValueError("window must be >= 1")
-    if ones < 0:
-        raise ValueError(f"ones must be >= 0, got {ones}")
     if samples.dtype.kind not in "iu" and not np.all(
         np.isfinite(samples) & (samples == np.trunc(samples))
     ):
@@ -243,16 +242,12 @@ def empirical_law(
     samples = samples.astype(np.int64, copy=False)
     if samples.size and samples.min() < 1:
         raise ValueError("samples must be positive integers")
-    drawn = samples.size + ones
-    n = drawn if n_total is None else int(n_total)
-    if n < drawn:
+    n = samples.size if n_total is None else int(n_total)
+    if n < samples.size:
         raise ValueError("n_total smaller than the sample count")
     # one counting pass: everything above the window lands in bin M + 1
     counts = np.bincount(np.minimum(samples, M + 1), minlength=M + 2)[1 : M + 1]
-    counts[0] += ones
-    probs = counts / n
-    tail = float(n - counts.sum()) / n
-    return _trusted(probs, tail, 1)
+    return _count_law(counts, n)
 
 
 def moments(a: TruncatedLaw) -> Moments:

@@ -7,14 +7,20 @@ customers served in a busy period satisfies the branching identity
           initiating service,
 
 so N is simulated here as a branching walk, one generation per round.
-Only counts matter, so no event timestamps are needed.  The first
-generation, the arrivals during one service, has the exact law
-``arrival_law(lam, s)`` (a Poisson mixture in closed form for every kind),
-so the first generations of all n busy periods are one multinomial draw of
-counts; the periods with no arrival are counted, not walked.  Poisson laws
-superpose, so the arrivals during each later generation's services are one
-Poisson draw per path, with mean lambda times the generation's summed
-service time.
+Only counts matter, so no event timestamps are needed.  The arrivals
+during one service have the exact law ``a = arrival_law(lam, s)`` (a
+Poisson mixture in closed form for every kind), and those during the
+services of k pending customers the convolution power ``a^{*k}``.  Busy
+periods in the same state (customers so far, customers pending) are
+exchangeable, so the walk goes by counts: the first generations of all n
+busy periods are one multinomial draw, and each later generation is one
+multinomial per pending size k over ``a^{*k}``, which splits every state
+with k pending at once.  Each power is cut where ``a`` is, so the mass it
+leaves out is at most k 2^-60; it is drawn as the last entry.  Once a
+generation would fill more multinomial entries than there are live busy
+periods, the rest are handed back to the per-path walk, where Poisson laws
+superpose: the arrivals during each generation's services are one Poisson
+draw per path, with mean lambda times the generation's summed service time.
 Deterministic service makes N exactly Borel(lambda).  Two computable bounds
 control the distance to Borel(lambda) in total variation:
 
@@ -37,7 +43,7 @@ from scipy.special import gammainc, gammaln
 
 from .borel import DEFAULT_WINDOW_CAP, branching_totals, poisson_draw_vec
 from .errors import LambdaOutOfRange, WindowOverflow
-from .lawkit import TruncatedLaw, empirical_law
+from .lawkit import TruncatedLaw, _convolve_masses, _count_law
 
 DEFAULT_SUMMARY_WINDOW = 200
 # mass an arrival law may leave beyond its window (drawn at the window end)
@@ -290,6 +296,7 @@ class BusyPeriodSummary:
 
     The empirical law divides by the full draw count, so censored paths sit
     in its tail mass and TV lower bounds stay valid lower bounds.
+    ``walked_paths`` counts the busy periods handed to the per-path walk.
     """
 
     n_samples: int
@@ -299,10 +306,82 @@ class BusyPeriodSummary:
     service: str
     seed: int
     mean_uncensored: float
+    walked_paths: int
 
     @property
     def censored_fraction(self) -> float:
         return self.censored_count / self.n_samples
+
+
+def _next_generation(rng: np.random.Generator, total, pending, count, power):
+    """One generation of the count walk: the states it leads to, merged.
+
+    The paths of every state with k pending customers are split by one
+    ``rng.multinomial(counts, power(k))``, ``power(k)`` being ``a^{*k}``;
+    entry j moves its paths to ``(total + j, j)``.
+    """
+    parts = []
+    for k in np.unique(pending):
+        rows = pending == k
+        # the mass beyond the cut, at most k 2^-60, rides in the last entry
+        draws = rng.multinomial(count[rows], power(int(k)))
+        row, j = np.nonzero(draws)
+        parts.append((total[rows][row] + j, j, draws[row, j]))
+    total, pending, count = (np.concatenate(x) for x in zip(*parts))
+    base = int(pending.max()) + 1
+    states, where = np.unique(total * base + pending, return_inverse=True)
+    total, pending = np.divmod(states, base)
+    return total, pending, np.bincount(where, weights=count).astype(np.int64)
+
+
+def _walk_by_counts(rng: np.random.Generator, a: np.ndarray, n: int, cap: int):
+    """Walk ``n`` busy periods as states ``(total, pending, count)``.
+
+    ``total`` counts served plus pending customers and ``count`` the
+    exchangeable paths in the state.  Given k pending customers, the next
+    generation is the sum of k draws from ``a``, whose law is the
+    convolution power ``a^{*k}`` (``_next_generation``).  A state with no
+    pending customer ends its paths; one with ``total > cap`` is censored.
+    The walk stops when the next generation would fill more multinomial
+    entries (k K + 1 per state, K + 1 = ``a.size``) than there are live
+    paths, so it never does more work per generation than the per-path
+    walk.  The paths left are returned one entry each, with
+    ``offset = total - pending - 1``: the customers already served less the
+    root that a new walk counts again (``None`` when no generation past the
+    first was drawn, where every offset is 0).
+
+    Returns ``(sizes, counts, censored, first, offset)``: the ended busy
+    periods by size, the censored count, and the paths left over.
+    """
+    width = a.size - 1
+    powers = {1: a}
+
+    def power(k):  # a^{*k}, each power built from two cached halves
+        if k not in powers:
+            powers[k] = _convolve_masses(power(k // 2), power(k - k // 2))
+        return powers[k]
+
+    counts = rng.multinomial(n, a)
+    pending = np.flatnonzero(counts)
+    total, count = pending + 1, counts[pending]
+    sizes, ended, censored, drawn = [], [], 0, False
+    while True:
+        over = total > cap
+        censored += int(count[over].sum())
+        done = pending == 0  # a state that ends has total <= cap
+        sizes.append(total[done])
+        ended.append(count[done])
+        live = ~(over | done)
+        total, pending, count = total[live], pending[live], count[live]
+        if not count.size:
+            break
+        if int(pending.sum()) * width + pending.size > int(count.sum()):
+            break  # a path-by-path generation is cheaper from here
+        total, pending, count = _next_generation(rng, total, pending, count, power)
+        drawn = True
+    first = np.repeat(pending, count)
+    offset = np.repeat(total - pending - 1, count) if drawn else None
+    return np.concatenate(sizes), np.concatenate(ended), censored, first, offset
 
 
 def simulate(
@@ -315,18 +394,26 @@ def simulate(
 ) -> BusyPeriodSummary:
     """``n`` independent busy periods, bit-reproducible for a given seed.
 
-    The first generations are one ``rng.multinomial(n, arrival_law(lam, s))``
-    draw; the busy periods with no arrival during the first service enter
-    the empirical law, the censored count and the mean as a count, and only
-    the others are walked by ``branching_totals``.  When ``arrival_law``
-    cannot certify its window (``WindowOverflow``), each path's first
-    generation is drawn from its own service time instead and fed to the
-    same walk.  All draws run through one generator in a fixed vectorized
-    order, so the summary is a pure function of
+    The busy periods are walked by counts: one
+    ``rng.multinomial(n, arrival_law(lam, s))`` draws every first
+    generation, and each later generation splits the paths that share a
+    ``(total, pending)`` state with one multinomial over the convolution
+    power ``a^{*k}`` for their k pending customers (see ``_walk_by_counts``).
+    The mass each power leaves beyond its cut, at most k 2^-60, is drawn in
+    its last entry.  When a generation would fill more multinomial entries
+    than there are live paths, the paths left are handed to
+    ``branching_totals`` path by path; a path's size is that walk's total
+    plus the customers it had already served, less its root.  When
+    ``arrival_law`` cannot certify its window (``WindowOverflow``), each
+    path's first generation is drawn from its own service time instead and
+    every path is walked by ``branching_totals``.  All draws run through one
+    generator in a fixed order, so the summary is a pure function of
     ``(lam, s, n, seed, cap, window)``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if window < 1:
+        raise ValueError("window must be >= 1")
     if not 0.0 < lam < 1.0:
         raise LambdaOutOfRange(f"need 0 < lambda < 1, got {lam}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -334,27 +421,32 @@ def simulate(
         a = arrival_law(lam, s)
     except WindowOverflow:
         # the law cannot be cut below 2^-60 in MAX_ARRIVAL_WINDOW points
-        singles, first = 0, poisson_draw_vec(rng, lam * s.draw(rng, n))
+        sizes = counts = np.zeros(0, dtype=np.int64)
+        censored_count, offset = 0, None
+        first = poisson_draw_vec(rng, lam * s.draw(rng, n))
     else:
-        # the last category also takes the mass beyond the window, since
-        # multinomial gives it 1 - sum(a[:-1]): such a count is drawn as K
-        counts = rng.multinomial(n, a)
-        singles, first = int(counts[0]), np.repeat(np.arange(1, a.size), counts[1:])
+        sizes, counts, censored_count, first, offset = _walk_by_counts(rng, a, n, cap)
     totals, censored = branching_totals(
         rng, first, lambda k: lam * s.draw(rng, k), cap
     )
-    censored_count = int(censored.sum())
-    kept = totals[~censored] if censored_count else totals
-    # the busy periods with no arrival enter as a count, not as an array of ones
-    emp = empirical_law(kept, M=window, n_total=n, ones=singles)
-    served = singles + kept.size
-    mean = (singles + int(kept.sum())) / served if served else float("nan")
+    if offset is not None:
+        totals += offset
+        censored |= totals > cap
+    kept = totals[~censored]
+    censored_count += totals.size - kept.size
+    # histogram of the sizes: the count walk's ended states plus the walked paths
+    top = window + 1
+    hist = np.bincount(np.minimum(sizes, top), weights=counts, minlength=top + 1)
+    hist += np.bincount(np.minimum(kept, top), minlength=top + 1)
+    served = int(counts.sum()) + kept.size
+    mean = (int(sizes @ counts) + int(kept.sum())) / served if served else float("nan")
     return BusyPeriodSummary(
         n_samples=n,
-        empirical=emp,
+        empirical=_count_law(hist[1:top].astype(np.int64), n),
         censored_count=censored_count,
         lam=lam,
         service=s.label(),
         seed=seed,
         mean_uncensored=mean,
+        walked_paths=first.size,
     )

@@ -279,6 +279,134 @@ class TestSameStream:
         assert abs(got.mean_uncensored - want.mean_uncensored) <= 4.0 * math.sqrt(2.0) * se
 
 
+SERVICES = [
+    mg1.deterministic(),
+    mg1.exponential(),
+    mg1.gamma_service(0.5),
+    mg1.uniform_symmetric(0.5),
+    mg1.two_point(0.2, 0.5),
+]
+
+
+def _per_path_run(lam, service, n, seed, cap):
+    """Busy periods walked customer by customer: the count walk's reference."""
+    rng = np.random.default_rng(seed)
+    first = poisson_draw_vec(rng, lam * service.draw(rng, n))
+    return _reference_branching_totals(
+        rng, first, lambda k: lam * service.draw(rng, k), cap
+    )
+
+
+def _mm1_pmf(lam, M):
+    """P(N = j), j = 1..M, for exponential service: (1/j) P(NegBin(j, 1/(1+lam)) = j-1)."""
+    j = np.arange(1, M + 1)
+    return stats.nbinom.pmf(j - 1, j, 1.0 / (1.0 + lam)) / j
+
+
+class _RecordingRng:
+    """A generator that records the size of every multinomial draw it makes."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.entries = 0
+
+    def multinomial(self, n, pvals):
+        out = self._rng.multinomial(n, pvals)
+        self.entries += out.size
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestCountWalk:
+    """``mg1.simulate`` walks busy periods by counts and hands the last paths back.
+
+    The count walk and the per-customer reference share no draws, so they
+    are compared in law; censoring is compared with exact tail masses.
+    """
+
+    @pytest.mark.parametrize("service", SERVICES, ids=lambda s: s.kind)
+    def test_law_matches_per_path_reference(self, service):
+        lam, n = 0.4, 200_000
+        M = law(BorelParams(lam), 1e-10).end
+        var_n = (lam + lam**2 * mg1.service_variance(service)) / (1.0 - lam) ** 3
+        se, sigma = math.sqrt(var_n / n), math.sqrt(M / (4.0 * n))
+        got = mg1.simulate(lam, service, n, seed=41, window=M)
+        totals, censored = _per_path_run(lam, service, n, 42, borel.DEFAULT_WINDOW_CAP)
+        assert got.censored_count == 0 and not censored.any()
+        want = empirical_law(totals, M=M)
+        assert tv_distance(got.empirical, want).lower <= 3.0 * math.sqrt(2.0) * sigma
+        assert abs(got.mean_uncensored - totals.mean()) <= 4.0 * math.sqrt(2.0) * se
+
+    def test_censoring_inside_the_count_route(self):
+        lam, n, cap = 0.8, 100_000, 5
+        q = borel.pmf_values(BorelParams(lam), cap)
+        p_over = 1.0 - math.fsum(q)
+        summary = mg1.simulate(lam, mg1.deterministic(), n, seed=43, cap=cap, window=20)
+        se = math.sqrt(p_over * (1.0 - p_over) / n)
+        assert abs(summary.censored_fraction - p_over) <= 4.0 * se
+        # no kept total above cap, and every size up to cap at its Borel mass
+        assert not summary.empirical.probs[cap:].any()
+        assert summary.empirical.tail_mass == summary.censored_fraction
+        for j in range(1, cap + 1):
+            se_j = math.sqrt(q[j - 1] * (1.0 - q[j - 1]) / n)
+            assert abs(summary.empirical.at(j) - q[j - 1]) <= 4.0 * se_j
+
+    @pytest.mark.parametrize("cap", [20, 200])
+    def test_cap_crossed_after_the_hand_back(self, cap):
+        # the count walk hands back within a few generations, before most
+        # states reach the cap, so the per-path walk meets it
+        lam, n = 0.9, 100_000
+        q = _mm1_pmf(lam, cap)
+        p_over = 1.0 - math.fsum(q)
+        se = math.sqrt(p_over * (1.0 - p_over) / n)
+        summary = mg1.simulate(lam, mg1.exponential(), n, seed=44, cap=cap, window=cap)
+        totals, censored = _per_path_run(lam, mg1.exponential(), n, 45, cap)
+        assert summary.walked_paths > 0
+        assert abs(summary.censored_fraction - p_over) <= 4.0 * se
+        assert abs(censored.mean() - p_over) <= 4.0 * se
+        assert summary.empirical.tail_mass == summary.censored_fraction
+        assert totals[~censored].max() <= cap
+        # a busy period of exactly cap customers is kept
+        se_cap = math.sqrt(q[-1] * (1.0 - q[-1]) / n)
+        assert abs(summary.empirical.at(cap) - q[-1]) <= 4.0 * se_cap
+        kept = totals[~censored]
+        se_mean = kept.std() / math.sqrt(kept.size)
+        assert abs(summary.mean_uncensored - kept.mean()) <= 4.0 * math.sqrt(2.0) * se_mean
+
+    def test_few_paths_are_handed_back_in_the_report_regime(self, monkeypatch):
+        walked = []
+
+        def counting_walk(rng, first, next_mu, cap):
+            walked.append(first.size)
+            return borel.branching_totals(rng, first, next_mu, cap)
+
+        monkeypatch.setattr(mg1, "branching_totals", counting_walk)
+        lam, n = 0.4, 1_000_000
+        summary = mg1.simulate(lam, mg1.exponential(), n, seed=46)
+        assert sum(walked) == summary.walked_paths <= 0.03 * n
+        # a handed-back path resumes where the count walk left it
+        se = math.sqrt((lam + lam**2) / (1.0 - lam) ** 3 / n)
+        assert abs(summary.mean_uncensored - 1.0 / (1.0 - lam)) <= 4.0 * se
+
+    @pytest.mark.parametrize("lam", [0.4, 0.9])
+    def test_no_generation_fills_more_entries_than_live_paths(self, lam, monkeypatch):
+        generations = []
+        next_generation = mg1._next_generation
+
+        def recording_generation(rng, total, pending, count, power):
+            recorder = _RecordingRng(rng)
+            out = next_generation(recorder, total, pending, count, power)
+            generations.append((recorder.entries, int(count.sum())))
+            return out
+
+        monkeypatch.setattr(mg1, "_next_generation", recording_generation)
+        mg1.simulate(lam, mg1.exponential(), 100_000, seed=47)
+        assert generations
+        assert all(entries <= live for entries, live in generations)
+
+
 class TestSampler:
     def test_nearly_all_singletons_at_tiny_lambda(self):
         rng = np.random.default_rng(0)

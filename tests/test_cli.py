@@ -259,6 +259,14 @@ class TestFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_unread_flag_prints_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sb-check", "--n", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: borelstein sb-check" in err
+        assert "unrecognized arguments: --n 5" in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -290,3 +290,7 @@ class TestSimulator:
     def test_lambda_validation(self):
         with pytest.raises(LambdaOutOfRange):
             simulate(1.2, exponential(), 10, seed=1)
+
+    def test_window_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="window"):
+            simulate(0.5, exponential(), 10, seed=1, window=0)
