@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, pdtr
 
 from .errors import InvalidIndex, WindowOverflow
 from .lawkit import TruncatedLaw, _trusted
@@ -38,6 +37,44 @@ _DIRECT_J_MAX = 32
 # largest Poisson mean whose inversion starts at k = 0; exp(-mu) underflows
 # near mu = 745
 _EXP_SAFE_MU = 700.0
+# log n! for n <= _DIRECT_J_MAX
+_LOG_FACTORIALS = np.array([math.lgamma(n + 1.0) for n in range(_DIRECT_J_MAX + 1)])
+
+
+def _stirling(x):
+    """Stirling correction ``log x! - (x + 1/2) log x + x - log(2 pi) / 2``.
+
+    The series ``1/(12x) - 1/(360x^3) + 1/(1260x^5)``, by Horner in 1/x^2;
+    its first omitted term is below 2e-14 for x > 32.
+    """
+    r = 1.0 / x
+    r2 = r * r
+    return r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0))
+
+
+def _log_factorial(n: np.ndarray) -> np.ndarray:
+    """log n! for an array of integers n >= 0 (any numeric dtype).
+
+    Up to ``_DIRECT_J_MAX`` from a table of ``math.lgamma``; above it from
+    Stirling's formula with the correction ``_stirling``.  Arrays whose
+    entries all lie in the table only index it.
+    """
+    n = np.asarray(n)
+    if n.max(initial=0) <= _DIRECT_J_MAX:
+        return _LOG_FACTORIALS[n.astype(np.intp)]
+    n = n.astype(float)
+    out = np.empty_like(n)
+    small = n <= _DIRECT_J_MAX
+    out[small] = _LOG_FACTORIALS[n[small].astype(np.intp)]
+    big = n[~small]
+    out[~small] = (big + 0.5) * np.log(big) - big + _HALF_LOG_TWO_PI + _stirling(big)
+    return out
+
+
+def _poisson_masses(mu: float, size: int) -> np.ndarray:
+    """P(Poisson(mu) = k) for k = 0, ..., size - 1, from the log-space mass; mu > 0."""
+    k = np.arange(size, dtype=float)
+    return np.exp(k * math.log(mu) - mu - _log_factorial(k))
 
 
 @dataclass(frozen=True)
@@ -81,15 +118,14 @@ def _log_pmf_array(lam: float, j: np.ndarray) -> np.ndarray:
     small = j <= _DIRECT_J_MAX
     if small.any():
         js = j[small]
-        out[small] = -lam * js + (js - 1.0) * np.log(lam * js) - gammaln(js + 1.0)
+        out[small] = -lam * js + (js - 1.0) * np.log(lam * js) - _log_factorial(js)
     if (~small).any():
         jl = j[~small]
         # p(j) = exp(-g0*j) / (lam * sqrt(2*pi) * j^{3/2}) * exp(-S(j)) with
         # g0 = lam - 1 - log(lam) and S the Stirling correction series
         g0 = lam - 1.0 - math.log(lam)
-        stirling = 1.0 / (12.0 * jl) - 1.0 / (360.0 * jl**3) + 1.0 / (1260.0 * jl**5)
         out[~small] = (
-            -g0 * jl - math.log(lam) - 1.5 * np.log(jl) - _HALF_LOG_TWO_PI - stirling
+            -g0 * jl - math.log(lam) - 1.5 * np.log(jl) - _HALF_LOG_TWO_PI - _stirling(jl)
         )
     return out
 
@@ -182,8 +218,8 @@ def poisson_draw_vec(rng: np.random.Generator, mu: np.ndarray) -> np.ndarray:
     touched, so the cost is proportional to the sum of the draws, not to
     ``size * max draw``.  Means up to ``_EXP_SAFE_MU`` start at k = 0 from
     ``exp(-mu)``; larger means, where ``exp(-mu)`` underflows, start at
-    ``k0 = floor(mu - 10 sqrt(mu))`` from the log-space mass and
-    ``pdtr(k0, mu)``.  The Poisson lower tail obeys
+    ``k0 = floor(mu - 10 sqrt(mu))`` with the running sum at the log-space
+    mass of k0 alone.  The Poisson lower tail obeys
     ``P(X < mu - t) <= exp(-t^2 / (2 mu))``, so the skipped mass is below
     ``exp(-50)``, under the 2^-53 spacing of the uniforms: only ``u == 0``
     draws differently than from k = 0.  A draw that would pass the guard
@@ -202,9 +238,7 @@ def poisson_draw_vec(rng: np.random.Generator, mu: np.ndarray) -> np.ndarray:
         big = np.flatnonzero(mu > _EXP_SAFE_MU)
         mb = mu[big]
         k0 = np.floor(mb - 10.0 * np.sqrt(mb))
-        prob[big] = np.exp(k0 * np.log(mb) - mb - gammaln(k0 + 1.0))
-        cum = prob.copy()
-        cum[big] = pdtr(k0, mb)
+        prob[big] = np.exp(k0 * np.log(mb) - mb - _log_factorial(k0))
         draws = np.zeros(n, dtype=np.int64)
         draws[big] = k0
     live = np.flatnonzero(u > cum)

@@ -34,7 +34,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import borel
 from .borel import BorelParams
@@ -207,7 +206,7 @@ def biased_exp_moment(params: UpperTailParams, eps: float = 1e-16) -> float:
             (gamma - lam) * j
             + (j - 1.0) * log_lam
             + (j + 1.0) * np.log(j)
-            - gammaln(j + 1.0)
+            - borel._log_factorial(j)
         )
 
     return (1.0 - lam) * _sum_series(log_term, eps, "size-biased exp moment")

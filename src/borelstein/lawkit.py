@@ -11,12 +11,13 @@ exact distance of every pair of full laws consistent with the stored windows.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import EmptySample, NegativeMass, NotNormalized, WeightOutOfRange
 
@@ -138,18 +139,47 @@ def point_mass(j: int) -> TruncatedLaw:
     return TruncatedLaw(start=j, probs=np.array([1.0]), tail_mass=0.0)
 
 
+@lru_cache(maxsize=1)
+def _smooth_lengths() -> list[int]:
+    """Every 5-smooth integer 2^a 3^b 5^c up to 2^40, ascending."""
+    top = 2**40
+    out = []
+    p5 = 1
+    while p5 <= top:
+        p35 = p5
+        while p35 <= top:
+            p = p35
+            while p <= top:
+                out.append(p)
+                p *= 2
+            p35 *= 3
+        p5 *= 5
+    return sorted(out)
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, for 1 <= n <= 2^40.
+
+    The real-FFT length ``scipy.fft.next_fast_len(n, True)`` picks.
+    """
+    smooth = _smooth_lengths()
+    return smooth[bisect.bisect_left(smooth, n)]
+
+
 def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two nonnegative mass vectors.
 
-    Direct for small inputs, by real FFT above ``_DIRECT_CONV_LIMIT`` (the
-    same transforms and padding as ``scipy.signal.fftconvolve``); the FFT's
-    round-off can dip below zero, so its output is clamped at 0.
+    Direct for small inputs, by ``numpy.fft`` real FFT above
+    ``_DIRECT_CONV_LIMIT``, zero-padded to the 5-smooth length
+    ``_fast_len`` (the same transforms and padding as
+    ``scipy.signal.fftconvolve``); the FFT's round-off can dip below zero,
+    so its output is clamped at 0.
     """
     if a.size * b.size <= _DIRECT_CONV_LIMIT:
         return np.convolve(a, b)
     n = a.size + b.size - 1
-    size = next_fast_len(n, True)
-    out = irfft(rfft(a, size) * rfft(b, size), size)[:n]
+    size = _fast_len(n)
+    out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
     np.maximum(out, 0.0, out=out)
     return out
 

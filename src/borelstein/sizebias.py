@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.special import pdtr
 
 from . import borel
 from .borel import BorelParams
@@ -163,6 +162,6 @@ def check_stochastic_order(p: BorelParams, M: int) -> bool:
     check compares CDFs pointwise for every k up to ``M``, with float slack.
     """
     k = np.arange(1, M + 1)
-    shifted_poisson_cdf = pdtr(k - 1, p.lam)
+    shifted_poisson_cdf = np.cumsum(borel._poisson_masses(p.lam, M))
     geometric_cdf = 1.0 - p.lam**k
     return bool(np.all(shifted_poisson_cdf >= geometric_cdf - 1e-12))

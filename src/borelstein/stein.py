@@ -36,7 +36,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from . import borel
@@ -111,6 +110,8 @@ def build_table_hp(p: BorelParams, M: int, dps: int = 50):
     are pinned at high decimal precision instead.  Restricted to small
     windows; the point is drift measurement, not production use.
     """
+    import mpmath as mp  # on call, so that importing the package skips mpmath
+
     if M > _HP_MAX_WINDOW:
         raise ValueError(f"high-precision mode supports M <= {_HP_MAX_WINDOW}")
     with mp.workdps(dps):

@@ -43,6 +43,39 @@ def _reference_poisson_draw_vec(rng, mu):
     return k
 
 
+def _pdtr_start_poisson_draw_vec(rng, mu):
+    """The inversion with means above 700 started at k0 from scipy's ``pdtr``.
+
+    The library started there with ``cum = pdtr(k0, mu)`` and the mass at k0
+    from ``gammaln`` while it imported scipy; kept to pin its stream at
+    large means.
+    """
+    from scipy.special import gammaln, pdtr
+
+    mu = np.asarray(mu, dtype=float)
+    u = rng.random(mu.shape)
+    top = mu.max(initial=0.0)
+    limit = int(top + 40.0 * math.sqrt(top + 1.0) + 60.0)
+    prob = np.exp(-mu)
+    cum = prob.copy()
+    k = np.zeros(mu.shape, dtype=np.int64)
+    big = mu > 700.0
+    mb = mu[big]
+    k0 = np.floor(mb - 10.0 * np.sqrt(mb))
+    prob[big] = np.exp(k0 * np.log(mb) - mb - gammaln(k0 + 1.0))
+    cum[big] = pdtr(k0, mb)
+    k[big] = k0
+    live = np.flatnonzero(u > cum)
+    rounds = 0
+    while live.size and rounds < limit:
+        rounds += 1
+        k[live] += 1
+        prob[live] *= mu[live] / k[live]
+        cum[live] += prob[live]
+        live = live[(u[live] > cum[live]) & (k[live] < limit)]
+    return k
+
+
 def _reference_branching_totals(rng, first, next_mu, cap):
     """The uncompacted per-customer walk, scanning every path each round."""
     n = first.size
@@ -70,6 +103,25 @@ def _reference_branching_totals(rng, first, next_mu, cap):
 def oracle_log_pmf(lam, j):
     lam, j = mp.mpf(lam), mp.mpf(j)
     return -lam * j + (j - 1) * mp.log(lam * j) - mp.loggamma(j + 1)
+
+
+class TestLogFactorial:
+    def test_matches_mpmath(self):
+        # the table range, then 1,000 consecutive points past it, where the
+        # Stirling correction matters most, and 1,000 up to 1e7
+        n = np.concatenate(
+            [np.arange(1033.0), np.geomspace(1033.0, 1e7, 1001)[1:].round()]
+        )
+        got = borel._log_factorial(n)
+        want = np.array([float(mp.loggamma(int(k) + 1)) for k in n])
+        assert np.unique(n).size == n.size == 2033
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+    def test_small_inputs_read_the_table(self):
+        n = np.arange(33)
+        want = np.array([math.lgamma(k + 1.0) for k in n])
+        assert np.array_equal(borel._log_factorial(n), want)
+        assert np.array_equal(borel._log_factorial(n.astype(float)), want)
 
 
 class TestLogPmf:
@@ -211,6 +263,23 @@ class TestSameStream:
         want = _reference_poisson_draw_vec(np.random.default_rng(21), mu)
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    @pytest.mark.parametrize("big", [745.0, 5000.0, 1e6])
+    def test_large_means_draw_as_from_the_pdtr_start(self, big, seed):
+        # the running sum now starts at the mass of k0 alone; the lower tail
+        # it leaves out is below exp(-50), under the rounding of the sum.  The
+        # mass at k0 rounds differently from gammaln's, by up to an ulp of
+        # log k0! (1.9e-9 at k0 = 990,000), which moves about one draw in
+        # 10^5 by one at mu = 1e6; at these seeds none moves
+        rng = np.random.default_rng(seed)
+        mu = rng.random(1000) * 3.0
+        mu[rng.random(1000) < 0.4] = big
+        mu[::50] = 0.0
+        got = poisson_draw_vec(np.random.default_rng(seed + 100), mu)
+        want = _pdtr_start_poisson_draw_vec(np.random.default_rng(seed + 100), mu)
+        assert (mu == big).sum() > 300
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("mu", [0.0, 0.7, 12.5])
     def test_zero_dim_mean_draws_as_length_one(self, mu):

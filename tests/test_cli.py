@@ -375,11 +375,14 @@ class TestEntryPoints:
         assert "stein-check" in proc.stdout
 
     def test_import_skips_heavy_scipy_modules(self):
-        proc = run_python(
-            "-c",
-            "import sys, borelstein, borelstein.cli; "
-            "print(','.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.integrate') "
-            "if m in sys.modules))",
+        # no scipy or mpmath at import, and no numpy.ma once a simulation ran
+        script = (
+            "import sys, borelstein, borelstein.cli\n"
+            "heavy = lambda: [m for m in sys.modules if m.startswith(('scipy', 'mpmath'))]\n"
+            "print(heavy())\n"
+            "borelstein.simulate(0.4, borelstein.uniform_symmetric(1.0), 10_000, 1)\n"
+            "print(heavy() + [m for m in ('numpy.ma',) if m in sys.modules])\n"
         )
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == ""
+        assert proc.stdout.splitlines() == ["[]", "[]"]

@@ -17,6 +17,7 @@ from borelstein.lawkit import (
     TVInterval,
     _DIRECT_CONV_LIMIT,
     _convolve_masses,
+    _fast_len,
     convolve,
     empirical_law,
     make_law,
@@ -248,6 +249,12 @@ class TestFftConvolution:
         assert a.size * b.size > _DIRECT_CONV_LIMIT
         want = np.maximum(fftconvolve(a, b), 0.0)
         assert np.array_equal(_convolve_masses(a, b), want)
+
+    def test_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        n = range(1, 200_000)
+        assert [_fast_len(k) for k in n] == [next_fast_len(k, True) for k in n]
 
 
 class TestConservationEverywhere:

@@ -1,6 +1,7 @@
 """Busy-period tests: service functionals, the two bounds, simulator laws."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -73,7 +74,9 @@ class TestServiceFunctionals:
             oracle = mp.quad(lambda x: x * abs(x - 1) * dens(x), [0, 1, mp.inf])
         assert got == pytest.approx(float(oracle), abs=1e-10)
 
-    @pytest.mark.parametrize("alpha", [1e-9, 0.01, 0.5, 1.0, 4.0, 100.0, 1e4, 1e6])
+    @pytest.mark.parametrize(
+        "alpha", [1e-9, 0.01, 0.5, 1.0, 4.0, 100.0, 1e4, 1e6, 1e8, 1e9, 1e12, 1e15]
+    )
     def test_gamma_abs_moment_closed_form_across_shapes(self, alpha):
         # the mass sits near 0 for tiny shapes and within ~1/sqrt(alpha) of 1
         # for large ones; log-space density and split points keep mpmath exact
@@ -85,7 +88,14 @@ class TestServiceFunctionals:
             dens = lambda x: mp.exp(log_c + (a - 1) * mp.log(x) - a * x)
             cuts = [0, 1, mp.inf] if w >= 1 else [0, 1 - w, 1, 1 + w, mp.inf]
             oracle = mp.quad(lambda x: x * abs(x - 1) * dens(x), cuts)
-        assert got == pytest.approx(float(oracle), rel=1e-12)
+        assert got == pytest.approx(float(oracle), rel=1e-12, abs=0.0)
+
+    def test_huge_gamma_shape_takes_constant_time(self):
+        # from alpha = 1e8 on the expansion replaces the O(sqrt(alpha)) series
+        start = time.perf_counter()
+        got = service_abs_moment(gamma_service(1e15))
+        assert time.perf_counter() - start < 0.01
+        assert got == pytest.approx(math.sqrt(2.0 / (math.pi * 1e15)), rel=1e-6)
 
     def test_uniform_abs_moment_against_quadrature(self):
         for a in (0.25, 0.5, 1.0):
@@ -199,6 +209,20 @@ ARRIVAL_SERVICES = [
 
 
 class TestArrivalLaw:
+    @pytest.mark.parametrize("h", [1e-3, 0.5, 1.0])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_uniform_masses_match_gammainc(self, lam, h):
+        # the difference of the two gammainc values, divided by 2 h lam,
+        # loses about eps / h to cancellation; the masses near the end of
+        # the window, down to 1e-151, keep their relative accuracy too
+        from scipy.special import gammainc
+
+        k1 = np.arange(1.0, 65.0)
+        want = (gammainc(k1, lam * (1.0 + h)) - gammainc(k1, lam * (1.0 - h))) / (2.0 * h * lam)
+        got = mg1._uniform_masses(lam, h, 64)
+        assert np.abs(got - want).max() <= (3e-13 if h < 0.01 else 1e-15)
+        assert np.abs(got / want - 1.0).max() <= 1e-12
+
     @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("service", ARRIVAL_SERVICES, ids=lambda s: s.label())
     def test_matches_oracle_with_certified_remainder(self, service, lam):

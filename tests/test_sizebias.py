@@ -165,6 +165,20 @@ class TestAuxiliaryFacts:
         assert check_stochastic_order(BorelParams(0.5), 100)
         assert check_stochastic_order(BorelParams(0.9), 500)
 
+    @pytest.mark.parametrize("lam", [1e-6, 0.1, 0.5, 0.9, 0.999])
+    def test_poisson_cdf_matches_pdtr(self, lam):
+        # check_stochastic_order's CDF is the running sum of the masses
+        from scipy.special import pdtr
+
+        M = 400
+        k = np.arange(1, M + 1)
+        cdf = np.cumsum(borel._poisson_masses(lam, M))
+        assert np.abs(cdf - pdtr(k - 1, lam)).max() <= 1e-15
+        geometric_cdf = 1.0 - lam**k
+        for m in (1, 2, 5, 50, M):
+            want = bool(np.all(pdtr(k[:m] - 1, lam) >= geometric_cdf[:m] - 1e-12))
+            assert check_stochastic_order(BorelParams(lam), m) == want
+
     def test_order_at_k_equals_one_is_analytic(self):
         # P(xi + 1 <= 1) = exp(-lam) >= 1 - lam = P(eta <= 1)
         for lam in GRID:
