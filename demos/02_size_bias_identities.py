@@ -6,7 +6,8 @@ rebuilt without ever size-biasing directly:
   * mixture route: with probability 1 - lambda keep Z, otherwise add an
     independent Z to a fresh size-biased copy;
   * geometric-sum route: sum a Geometric(1 - lambda) number of independent
-    Borel draws.
+    Borel draws, whose law is computed in one FFT from its generating
+    function (1 - lambda) Q(z) / (1 - lambda Q(z)).
 
 Both land on the same law; the TV brackets below quantify how closely the
 finite-window computations agree.

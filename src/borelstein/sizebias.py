@@ -9,7 +9,8 @@ the same law:
   :func:`mixture_rhs`;
 * the geometric-sum form: W* equals a sum of ``eta`` independent Borel draws
   where ``P(eta = n) = (1 - lambda) lambda^(n-1)``, realized by
-  :func:`geometric_sum_law`.
+  :func:`geometric_sum_law` from the sum's generating function
+  ``(1 - lambda) Q(z) / (1 - lambda Q(z))`` in one FFT.
 
 Cross-checking the three constructions against each other, with truncation
 residuals tracked explicitly, is the main correctness instrument for this
@@ -26,11 +27,13 @@ from dataclasses import dataclass
 from . import borel
 from .borel import BorelParams
 from .errors import UnresolvedTail
-from .lawkit import TruncatedLaw, _convolve_masses, _trusted, convolve, mix, moments
+from .lawkit import TruncatedLaw, _fast_len, _trusted, convolve, mix, moments
 
 # above this input tail, the window mean is too uncertain to size-bias:
 # biasing weights outcomes by j, so unplaced tail mass has unbounded pull
 UNRESOLVED_TAIL_LIMIT = 1e-6
+# FFT wrap-around mass geometric_sum_law leaves in its window, at most
+WRAP_REMAINDER = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -102,37 +105,51 @@ def mixture_rhs(
 def geometric_sum_law(p: BorelParams, eps: float) -> TruncatedLaw:
     """Size-biased Borel law rebuilt as a geometric sum of Borel draws.
 
-    Accumulates ``(1 - lam) lam^(n-1)`` times the n-fold self-convolution of
-    the Borel law, stopping once the remaining geometric weight drops below
-    ``eps``.  The remaining weight, the base-law tails, and any convolution
-    mass pushed past the output window all end up in ``tail_mass``, never
-    spread over the window.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    lam = p.lam
-    # per-term losses scale like n * base_tail with geometric weights, so a
-    # base tail of eps * (1 - lam) / 2 keeps the summed loss under eps / 2
-    base = borel.law(p, eps * (1.0 - lam) / 2.0)
-    cap = _window_for_biased_tail(p, eps / 8.0, at_least=base.end)
+    With ``Q(z)`` the generating function of the Borel window, the sum of
+    ``eta`` independent draws, ``P(eta = n) = (1 - lam) lam^(n-1)``, has
+    generating function ``(1 - lam) Q(z) / (1 - lam Q(z))``, a compound
+    geometric (Panjer 1981).  One real FFT of the window, that map applied
+    pointwise and one inverse FFT give the whole law at once.
 
-    # arrays indexed by support value: buf[j] is the mass at j
-    base0 = np.zeros(cap + 1)
-    base0[1 : base.end + 1] = base.probs
-    cur = base0.copy()
-    acc = np.zeros(cap + 1)
-    n = 1
-    while True:
-        acc += (1.0 - lam) * lam ** (n - 1) * cur
-        if lam**n < eps:
-            break
-        cur = _convolve_masses(cur, base0[: base.end + 1])[: cap + 1]
-        n += 1
-        if not cur.any():
-            break  # n-fold support already starts above the window
-    probs = acc[1:]
+    Tail accounting: the base window leaves out ``eps (1 - lam) / 2``,
+    which costs the sum at most ``eps / 2``; the output window ends where
+    the size-biased mass above it is at most ``eps / 8``.  Both losses land
+    in ``tail_mass``, the exact complement of the window sum, never spread
+    over the window.  The FFT of length L adds the sum's mass at j + L,
+    j + 2L, ... to the mass at j.  That wrapped mass is nonnegative and at
+    most the size-biased mass at ``j >= L``, ``(1 - lam) sum_{j >= L} j q(j)``,
+    bounded by ``borel._suffix_remainders``; L grows until the bound is at
+    most ``WRAP_REMAINDER`` = 2^-60.  ``eps`` must be at least
+    ``2 MIN_EPS / (1 - lam)``, so that the base window can be certified.
+    """
+    lam = p.lam
+    base_eps = eps * (1.0 - lam) / 2.0
+    if not (borel.MIN_EPS <= base_eps and eps < 1.0):
+        floor = 2.0 * borel.MIN_EPS / (1.0 - lam)
+        raise ValueError(f"eps must lie in [{floor:g}, 1) at lambda={lam}, got {eps}")
+    base = borel.law(p, base_eps)
+    cap = _window_for_biased_tail(p, eps / 8.0, at_least=base.end)
+    size, _ = _fft_length(p, cap)
+    # index j holds the mass at j; the sum starts at 1
+    q = np.fft.rfft(np.concatenate([[0.0], base.probs]), size)
+    acc = np.fft.irfft((1.0 - lam) * q / (1.0 - lam * q), size)[1 : cap + 1]
+    probs = np.maximum(acc, 0.0)
     tail = 1.0 - math.fsum(probs.tolist())
     return _trusted(probs, tail, 1)
+
+
+def _fft_length(p: BorelParams, cap: int) -> tuple[int, float]:
+    """5-smooth FFT length >= ``2 (cap + 1)``, and a bound on the mass it wraps.
+
+    The bound is the size-biased Borel mass at ``j >= size``; the length
+    doubles until it is at most ``WRAP_REMAINDER``.
+    """
+    size = _fast_len(2 * (cap + 1))
+    while True:
+        wrapped = (1.0 - p.lam) * borel._suffix_remainders(p.lam, size - 1)[1]
+        if wrapped <= WRAP_REMAINDER:
+            return size, wrapped
+        size = _fast_len(2 * size)
 
 
 def _window_for_biased_tail(p: BorelParams, target: float, at_least: int) -> int:

@@ -146,6 +146,15 @@ class TestLogPmf:
                 continue
             assert abs(got - float(oracle_log_pmf(lam, j))) <= 1e-12
 
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_stirling_branch_within_2e15_relative(self, lam):
+        # just past the direct branch the first omitted Stirling term is
+        # largest: 1/(1680 j^7) was 1.7e-14 at j = 33
+        j = np.arange(33, 65)
+        got = borel._log_pmf_array(lam, j)
+        want = np.array([float(oracle_log_pmf(lam, int(k))) for k in j])
+        assert np.abs(got / want - 1.0).max() <= 2e-15
+
     def test_hybrid_paths_agree_at_switchover(self):
         for lam in (0.2, 0.7):
             vals = borel._log_pmf_array(lam, np.arange(25.0, 45.0))
@@ -193,6 +202,17 @@ class TestLaw:
         with pytest.raises(ValueError):
             law(BorelParams(0.5), 0.0)
 
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("W", [40, 1000])
+    def test_suffix_remainders_bound_the_tail_sums(self, lam, W):
+        # summed far enough out that the rest is below 1e-30 of the bound
+        far = 40 * W + int(80.0 / BorelParams(lam).decay_rate)
+        q = borel.pmf_values(BorelParams(lam), far)[W:]
+        j = np.arange(W + 1.0, far + 1.0)
+        rem_q, rem_jq = borel._suffix_remainders(lam, W)
+        assert q.sum() <= rem_q
+        assert (j * q).sum() <= rem_jq
+
     def test_window_cap_overflow(self):
         with pytest.raises(WindowOverflow):
             law(BorelParams(0.99), 1e-10, cap=1000)
@@ -230,6 +250,16 @@ class TestPoissonInversion:
             p = stats.poisson.pmf(k, mu)
             se = math.sqrt(p * (1 - p) / n)
             assert abs((draws == k).mean() - p) <= 4 * se
+
+    @pytest.mark.parametrize("mu", [745.0, 5000.0, 1e6])
+    def test_shifted_start_mass_matches_mpmath(self, mu):
+        # log k0! alone is ~1.3e7 at mu = 1e6, so k0 log mu - mu - log k0!
+        # kept an ulp of it, 1.9e-9 relative, as error
+        k0, prob = borel._shifted_start(np.array([mu]))
+        k = int(k0[0])
+        assert k == math.floor(mu - 10.0 * math.sqrt(mu))
+        want = mp.exp(k * mp.log(mu) - mu - mp.loggamma(k + 1))
+        assert abs(prob[0] / float(want) - 1.0) <= 1e-13
 
     def test_mixed_small_and_large_means(self):
         mu = np.array([0.0, 2.0, 5000.0, 0.5, 1e6])

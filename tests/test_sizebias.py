@@ -1,12 +1,14 @@
 """Size-bias transform tests: mixture identity, geometric-sum identity, order facts."""
 
+import time
+
 import numpy as np
 import pytest
 
-from borelstein import borel
+from borelstein import borel, sizebias
 from borelstein.borel import BorelParams
 from borelstein.errors import UnresolvedTail
-from borelstein.lawkit import make_law, moments, point_mass, tv_distance
+from borelstein.lawkit import _convolve_masses, make_law, moments, point_mass, tv_distance
 from borelstein.sizebias import (
     check_stochastic_order,
     geometric_sum_law,
@@ -18,6 +20,32 @@ from borelstein.sizebias import (
 )
 
 GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+
+
+def _per_term_geometric_sum(p, eps):
+    """Window of ``geometric_sum_law`` summed one convolution power at a time.
+
+    The loop the library ran before it took the compound-geometric FFT:
+    ``(1 - lam) lam^(n-1)`` times the n-fold power of the same base window,
+    until ``lam^n < eps``.
+    """
+    lam = p.lam
+    base = borel.law(p, eps * (1.0 - lam) / 2.0)
+    cap = sizebias._window_for_biased_tail(p, eps / 8.0, at_least=base.end)
+    base0 = np.zeros(cap + 1)
+    base0[1 : base.end + 1] = base.probs
+    cur = base0.copy()
+    acc = np.zeros(cap + 1)
+    n = 1
+    while True:
+        acc += (1.0 - lam) * lam ** (n - 1) * cur
+        if lam**n < eps:
+            break
+        cur = _convolve_masses(cur, base0[: base.end + 1])[: cap + 1]
+        n += 1
+        if not cur.any():
+            break
+    return acc[1:]
 
 
 class TestSizeBias:
@@ -141,6 +169,52 @@ class TestGeometricSum:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             geometric_sum_law(BorelParams(0.3), 0.0)
+
+    def test_eps_floor_is_stated_in_the_callers_terms(self):
+        # the base window is cut at eps (1 - lam) / 2, which must reach MIN_EPS
+        floor = 2.0 * borel.MIN_EPS / (1.0 - 0.9)
+        with pytest.raises(ValueError) as err:
+            geometric_sum_law(BorelParams(0.9), 1e-15)
+        assert str(err.value) == (
+            f"eps must lie in [{floor:g}, 1) at lambda=0.9, got 1e-15"
+        )
+        # at the floor itself the window sum's rounding outweighs eps
+        geo = geometric_sum_law(BorelParams(0.5), 2.0 * borel.MIN_EPS / 0.5)
+        assert geo.tail_mass <= 1e-14
+
+    @pytest.mark.parametrize("lam", GRID + [0.95])
+    def test_matches_per_term_loop(self, lam):
+        p = BorelParams(lam)
+        geo = geometric_sum_law(p, 1e-10)
+        ref = _per_term_geometric_sum(p, 1e-10)
+        assert geo.probs.size == ref.size
+        assert np.abs(geo.probs - ref).sum() <= 2e-10
+
+    @pytest.mark.parametrize("lam", [0.9, 0.95, 0.98])
+    def test_matches_closed_form(self, lam):
+        # the size-biased Borel mass at j is (1 - lam) j q(j)
+        p = BorelParams(lam)
+        geo = geometric_sum_law(p, 1e-10)
+        j = np.arange(1.0, geo.end + 1.0)
+        exact = (1.0 - lam) * j * borel.pmf_values(p, geo.end)
+        assert np.abs(geo.probs - exact).sum() <= 1e-10
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-10])
+    @pytest.mark.parametrize("lam", [0.01] + GRID + [0.95, 0.97, 0.98])
+    def test_wrapped_mass_is_certified(self, lam, eps):
+        p = BorelParams(lam)
+        base = borel.law(p, eps * (1.0 - lam) / 2.0)
+        cap = sizebias._window_for_biased_tail(p, eps / 8.0, at_least=base.end)
+        size, wrapped = sizebias._fft_length(p, cap)
+        assert size >= 2 * (cap + 1)
+        assert wrapped <= sizebias.WRAP_REMAINDER == 2.0**-60
+
+    def test_near_critical_lambda_is_fast(self):
+        # the per-term loop took about 4 s here
+        start = time.perf_counter()
+        geo = geometric_sum_law(BorelParams(0.97), 1e-10)
+        assert time.perf_counter() - start < 1.0
+        assert geo.tail_mass <= 1e-10
 
     def test_coarse_eps_keeps_residual_in_tail(self):
         geo = geometric_sum_law(BorelParams(0.5), 1e-3)
