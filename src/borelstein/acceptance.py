@@ -497,16 +497,7 @@ ALL_SUITES = [
 ]
 
 
-def run_all(seed: int = 42, quick: bool = False, max_workers: int = 1, suites=None):
-    """Run ``suites`` (default ``ALL_SUITES``), in parallel if ``max_workers`` > 1.
-
-    Output follows the order of ``suites``, never completion order.
-    """
+def run_all(seed: int = 42, quick: bool = False, suites=None):
+    """Run ``suites`` (default ``ALL_SUITES``) in order; one result each."""
     suites = ALL_SUITES if suites is None else suites
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(fn, seed, quick) for _, fn in suites]
-            return [f.result() for f in futures]
     return [fn(seed, quick) for _, fn in suites]

@@ -34,9 +34,6 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # largest j computed with the naive formula; above it the Stirling path is
 # both cheaper and more accurate
 _DIRECT_J_MAX = 32
-# largest Poisson mean whose inversion starts at k = 0; exp(-mu) underflows
-# near mu = 745
-_EXP_SAFE_MU = 700.0
 # log n! for n <= _DIRECT_J_MAX
 _LOG_FACTORIALS = np.array([math.lgamma(n + 1.0) for n in range(_DIRECT_J_MAX + 1)])
 
@@ -99,7 +96,29 @@ class BorelParams:
     @property
     def decay_rate(self) -> float:
         """Exponential decay rate of the pmf: lambda - 1 - log(lambda) > 0."""
-        return self.lam - 1.0 - math.log(self.lam)
+        return _decay_rate(self.lam)
+
+
+@lru_cache(maxsize=1024)
+def _decay_rate(lam: float) -> float:
+    """``lam - 1 - log(lam)``, summed without cancellation.
+
+    For ``1/2 <= lam <= 1``, where ``x = 1 - lam`` is exact, it is summed as
+    ``x^2/2 + x^3/3 + ...``, every term positive.  Written out, two terms
+    near ``x`` cancel to about ``x^2 / 2`` and leave a relative error near
+    ``eps / x`` (8.6e-15 at lam 0.99).  Other ``lam`` take the written-out
+    form, whose terms do not cancel.
+    """
+    if not 0.5 <= lam <= 1.0:
+        return lam - 1.0 - math.log(lam)
+    x = 1.0 - lam
+    terms, power, k = [], x * x, 2
+    # the first term is x^2 / 2; stop once a term is below 2^-60 of it
+    while power > 2.0**-60 * x * x:
+        terms.append(power / k)
+        power *= x
+        k += 1
+    return math.fsum(reversed(terms))
 
 
 def mean(p: BorelParams) -> float:
@@ -124,7 +143,7 @@ def _log_pmf_array(lam: float, j: np.ndarray) -> np.ndarray:
         jl = j[~small]
         # p(j) = exp(-g0*j) / (lam * sqrt(2*pi) * j^{3/2}) * exp(-S(j)) with
         # g0 = lam - 1 - log(lam) and S the Stirling correction series
-        g0 = lam - 1.0 - math.log(lam)
+        g0 = _decay_rate(lam)
         out[~small] = (
             -g0 * jl - math.log(lam) - 1.5 * np.log(jl) - _HALF_LOG_TWO_PI - _stirling(jl)
         )
@@ -157,7 +176,7 @@ def _suffix_remainders(lam: float, W: int) -> tuple[float, float]:
     are at most ``q(W) r / (1 - r)`` and
     ``q(W) (W r / (1 - r) + r / (1 - r)^2)``.
     """
-    r = math.exp(-BorelParams(lam).decay_rate)
+    r = math.exp(-_decay_rate(lam))
     q_w = float(np.exp(_log_pmf_array(lam, np.array([float(W)])))[0])
     return q_w * r / (1.0 - r), q_w * (W * r / (1.0 - r) + r / (1.0 - r) ** 2)
 
@@ -220,90 +239,6 @@ def law(p: BorelParams, eps: float, cap: int = DEFAULT_WINDOW_CAP) -> TruncatedL
         size *= 2
 
 
-def _shifted_start(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``k0 = floor(mu - 10 sqrt(mu))`` and ``P(Poisson(mu) = k0)``, mu > 700.
-
-    The log mass is ``-bd0 - log(2 pi k0) / 2 - stirling(k0)``, where
-    ``bd0 = k0 log(k0 / mu) + mu - k0`` is summed as Loader's (2000) series
-    ``d v + 2 k0 sum_{i >= 1} v^(2i+1) / (2i+1)`` with ``d = k0 - mu`` and
-    ``v = d / (k0 + mu)``.  Written as ``k0 log mu - mu - log k0!``, terms of
-    size k0 log k0 cancel to about -50 and keep an ulp of log k0! as error
-    (1.9e-9 relative at mu = 1e6); here ``|v| < 0.2`` and the series keeps
-    the mass within a few ulps.
-    """
-    k0 = np.floor(mu - 10.0 * np.sqrt(mu))
-    d = k0 - mu
-    v = d / (k0 + mu)
-    v2 = v * v
-    bd0 = d * v
-    term = 2.0 * k0 * v
-    i = 1
-    while True:
-        term = term * v2
-        summed = bd0 + term / (2 * i + 1)
-        if np.array_equal(summed, bd0):
-            break
-        bd0 = summed
-        i += 1
-    return k0, np.exp(-bd0 - 0.5 * np.log(2.0 * math.pi * k0) - _stirling(k0))
-
-
-def poisson_draw_vec(rng: np.random.Generator, mu: np.ndarray) -> np.ndarray:
-    """Vectorized Poisson inversion, one uniform per entry.
-
-    Each draw is the least k with ``u <= P(X <= k)``, found by walking k
-    upward with ``prob *= mu / k``.  Only the entries still walking are
-    touched, so the cost is proportional to the sum of the draws, not to
-    ``size * max draw``.  Means up to ``_EXP_SAFE_MU`` start at k = 0 from
-    ``exp(-mu)``; larger means, where ``exp(-mu)`` underflows, start at
-    ``k0 = floor(mu - 10 sqrt(mu))`` with the running sum at the log-space
-    mass of k0 alone.  The Poisson lower tail obeys
-    ``P(X < mu - t) <= exp(-t^2 / (2 mu))``, so the skipped mass is below
-    ``exp(-50)``, under the 2^-53 spacing of the uniforms: only ``u == 0``
-    draws differently than from k = 0.  A draw that would pass the guard
-    ``mu.max() + 40 sqrt(mu.max() + 1) + 60`` returns the guard.
-    """
-    mu = np.asarray(mu, dtype=float)
-    shape, n = mu.shape, mu.size
-    mu = mu.ravel()
-    u = rng.random(shape).ravel()
-    top = mu.max(initial=0.0)
-    limit = int(top + 40.0 * math.sqrt(top + 1.0) + 60.0)
-    prob = np.exp(-mu)
-    cum = prob
-    shifted = top > _EXP_SAFE_MU
-    if shifted:
-        big = np.flatnonzero(mu > _EXP_SAFE_MU)
-        k0, prob[big] = _shifted_start(mu[big])
-        draws = np.zeros(n, dtype=np.int64)
-        draws[big] = k0
-    live = np.flatnonzero(u > cum)
-    u, mu, prob, cum = u[live], mu[live], prob[live], cum[live]
-    if shifted:
-        start = draws[live]
-    else:
-        start = 0
-        draws = np.zeros(n, dtype=np.int64)
-    rounds = 0
-    while live.size and rounds < limit:
-        rounds += 1
-        at = start + rounds
-        prob *= mu / at
-        cum += prob
-        going = u > cum
-        if shifted:
-            going &= at < limit
-        keep = np.flatnonzero(going)
-        if keep.size < live.size:
-            stop = ~going
-            draws[live[stop]] = at[stop] if shifted else at
-            live, u, mu, prob, cum = live[keep], u[keep], mu[keep], prob[keep], cum[keep]
-            if shifted:
-                start = start[keep]
-    draws[live] = start + rounds
-    return draws.reshape(shape)
-
-
 def sample_many(
     p: BorelParams,
     n: int,
@@ -312,10 +247,11 @@ def sample_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` independent total-progeny draws, vectorized over the frontier.
 
-    Returns ``(totals, censored)``; censored entries hold the cap value and
-    are flagged rather than dropped.
+    The first generations are ``rng.poisson(lam, n)`` and every later one is
+    walked by ``branching_totals``.  Returns ``(totals, censored)``;
+    censored entries hold the cap value and are flagged rather than dropped.
     """
-    first = poisson_draw_vec(rng, np.full(n, p.lam))
+    first = rng.poisson(p.lam, n)
     return branching_totals(rng, first, lambda k: np.full(k, p.lam), cap)
 
 
@@ -334,10 +270,11 @@ def branching_totals(
 
     Each round serves a whole generation: every customer pending on a live
     path.  Poisson laws superpose, so the next generation of a path is one
-    Poisson draw whose mean is the sum of its customers' means.  The number
-    of rounds is the height of the tallest tree, and each round costs one
-    ``next_mu`` call for the customers served and one Poisson draw per live
-    path.  Only the live paths, kept in increasing order, are touched.
+    ``rng.poisson`` draw whose mean is the sum of its customers' means; numpy
+    draws it exactly at every mean, with no cut-off.  The number of rounds is
+    the height of the tallest tree, and each round costs one ``next_mu`` call
+    for the customers served and one Poisson draw per live path.  Only the
+    live paths, kept in increasing order, are touched.
 
     A path is censored iff its total exceeds ``cap``, found as soon as its
     served plus pending customers pass ``cap``; censored totals read ``cap``.
@@ -367,7 +304,7 @@ def branching_totals(
         starts = np.cumsum(pending)
         size = int(starts[-1])
         starts -= pending
-        pending = poisson_draw_vec(rng, np.add.reduceat(next_mu(size), starts))
+        pending = rng.poisson(np.add.reduceat(next_mu(size), starts))
         totals[live] += pending
         going = pending > 0
         live, pending = live[going], pending[going]

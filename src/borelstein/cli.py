@@ -30,10 +30,9 @@ to the same service.
 Every command is deterministic given its flags and ``--seed``; floats are
 printed with 17 significant digits so output round-trips exactly.  Exit
 codes: 0 all checks pass, 1 an assertion failed, 2 usage error (also an
-``--eps`` below machine epsilon, a non-integer ``BOREL_STEIN_THREADS``), 3
-numeric failure (window overflow, a ``--table-size`` above
-``stein.MAX_TABLE_WINDOW``, or series divergence).
-``BOREL_STEIN_THREADS`` caps suite parallelism of the suite runner.
+``--eps`` below machine epsilon or a negative ``--seed``), 3 numeric failure
+(window overflow, a ``--table-size`` above ``stein.MAX_TABLE_WINDOW``, or
+series divergence).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -236,26 +234,19 @@ def cmd_queue_bounds(args, parser) -> int:
     return EXIT_OK
 
 
-def _run_suites(args, parser, suite_kwargs, default_out=None) -> int:
+def _run_suites(args, suite_kwargs, default_out=None) -> int:
     """Run the suites keyed in ``suite_kwargs`` (id -> ``grid``/``M`` keywords).
 
     Suites come from ``acceptance.ALL_SUITES`` at call time, via
     ``acceptance.run_all``.  Prints a status line per criterion and writes
     the CSVs and ``summary.json`` to ``--out`` (else ``default_out``).
     """
-    threads = os.environ.get("BOREL_STEIN_THREADS", "1") or "1"
-    try:
-        workers = int(threads)
-    except ValueError:
-        parser.error(f"BOREL_STEIN_THREADS must be an integer, got {threads!r}")
     suites = [
         (cid, functools.partial(fn, **suite_kwargs[cid]))
         for cid, fn in acceptance.ALL_SUITES
         if cid in suite_kwargs
     ]
-    results = acceptance.run_all(
-        seed=args.seed, quick=args.quick, max_workers=max(workers, 1), suites=suites
-    )
+    results = acceptance.run_all(seed=args.seed, quick=args.quick, suites=suites)
     out = args.out or default_out
     if out:
         out_dir = Path(out)
@@ -302,7 +293,7 @@ def cmd_stein_check(args, parser) -> int:
     if M < 3:
         parser.error("--table-size must be at least 3")
     suites = {"5": {}, **_narrowed(args, parser, ("4", "6", "7"), M=M)}
-    code = _run_suites(args, parser, suites)
+    code = _run_suites(args, suites)
     if args.out and args.lam is not None:
         p = BorelParams(args.lam)
         a = stein.build_table(p, M).a
@@ -316,16 +307,16 @@ def cmd_stein_check(args, parser) -> int:
 
 
 def cmd_sb_check(args, parser) -> int:
-    return _run_suites(args, parser, _narrowed(args, parser, ("2", "3", "12")))
+    return _run_suites(args, _narrowed(args, parser, ("2", "3", "12")))
 
 
 def cmd_tails(args, parser) -> int:
-    return _run_suites(args, parser, _narrowed(args, parser, ("11",)))
+    return _run_suites(args, _narrowed(args, parser, ("11",)))
 
 
 def cmd_report(args, parser) -> int:
     every = {cid: {} for cid, _ in acceptance.ALL_SUITES}
-    return _run_suites(args, parser, every, default_out="report_out")
+    return _run_suites(args, every, default_out="report_out")
 
 
 # one definition per flag; each command takes only the flags its handler reads
@@ -389,6 +380,8 @@ def main(argv=None) -> int:
         parser.error("--n must be >= 1")
     if "cap" in args and args.cap < 1:
         parser.error("--cap must be >= 1")
+    if "seed" in args and args.seed < 0:
+        parser.error("--seed must be >= 0")
     try:
         return _COMMANDS[args.command][0](args, parser)
     except _NUMERIC_ERRORS as exc:

@@ -49,7 +49,7 @@ DeltaChoice = namedtuple("DeltaChoice", ["delta", "bound"])
 
 def delta_limit(lam: float) -> float:
     """Feasible slack range is (0, lam - log(lam) - 1), nonempty for lam != 1."""
-    return lam - math.log(lam) - 1.0
+    return borel._decay_rate(lam)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ with k pending at once.  Each power is cut where ``a`` is, so the mass it
 leaves out is at most k 2^-60; it is drawn as the last entry.  Once a
 generation would fill more multinomial entries than there are live busy
 periods, the rest are handed back to the per-path walk, where Poisson laws
-superpose: the arrivals during each generation's services are one Poisson
-draw per path, with mean lambda times the generation's summed service time.
+superpose: the arrivals during each generation's services are one
+``rng.poisson`` draw per path, with mean lambda times the generation's
+summed service time.
 Deterministic service makes N exactly Borel(lambda).  Two computable bounds
 control the distance to Borel(lambda) in total variation:
 
@@ -46,7 +47,6 @@ from .borel import (
     _poisson_masses,
     _stirling,
     branching_totals,
-    poisson_draw_vec,
 )
 from .errors import LambdaOutOfRange, WindowOverflow
 from .lawkit import TruncatedLaw, _convolve_masses, _count_law
@@ -445,10 +445,10 @@ def simulate(
     ``branching_totals`` path by path; a path's size is that walk's total
     plus the customers it had already served, less its root.  When
     ``arrival_law`` cannot certify its window (``WindowOverflow``), each
-    path's first generation is drawn from its own service time instead and
-    every path is walked by ``branching_totals``.  All draws run through one
-    generator in a fixed order, so the summary is a pure function of
-    ``(lam, s, n, seed, cap, window)``.
+    path's first generation is ``rng.poisson(lam * S)`` for its own service
+    time S instead, and every path is walked by ``branching_totals``.  All
+    draws run through one generator in a fixed order, so the summary is a
+    pure function of ``(lam, s, n, seed, cap, window)``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -463,7 +463,7 @@ def simulate(
         # the law cannot be cut below 2^-60 in MAX_ARRIVAL_WINDOW points
         sizes = counts = np.zeros(0, dtype=np.int64)
         censored_count, offset = 0, None
-        first = poisson_draw_vec(rng, lam * s.draw(rng, n))
+        first = rng.poisson(lam * s.draw(rng, n))
     else:
         sizes, counts, censored_count, first, offset = _walk_by_counts(rng, a, n, cap)
     totals, censored = branching_totals(

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from borelstein import borel, mg1
+from borelstein import borel, concentration, mg1
 from borelstein.borel import (
     BorelParams,
     law,
     log_pmf,
     pmf,
-    poisson_draw_vec,
     sample_many,
 )
 from borelstein.errors import InvalidIndex, WindowOverflow
@@ -25,7 +24,7 @@ GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
 def _reference_poisson_draw_vec(rng, mu):
-    """The uncompacted inversion loop, kept to pin the library's random stream."""
+    """Poisson inversion from k = 0: a reference independent of ``rng.poisson``."""
     mu = np.asarray(mu, dtype=float)
     u = rng.random(mu.shape)
     prob = np.exp(-mu)
@@ -40,39 +39,6 @@ def _reference_poisson_draw_vec(rng, mu):
         prob[active] *= mu[active] / rounds
         cum[active] += prob[active]
         active &= u > cum
-    return k
-
-
-def _pdtr_start_poisson_draw_vec(rng, mu):
-    """The inversion with means above 700 started at k0 from scipy's ``pdtr``.
-
-    The library started there with ``cum = pdtr(k0, mu)`` and the mass at k0
-    from ``gammaln`` while it imported scipy; kept to pin its stream at
-    large means.
-    """
-    from scipy.special import gammaln, pdtr
-
-    mu = np.asarray(mu, dtype=float)
-    u = rng.random(mu.shape)
-    top = mu.max(initial=0.0)
-    limit = int(top + 40.0 * math.sqrt(top + 1.0) + 60.0)
-    prob = np.exp(-mu)
-    cum = prob.copy()
-    k = np.zeros(mu.shape, dtype=np.int64)
-    big = mu > 700.0
-    mb = mu[big]
-    k0 = np.floor(mb - 10.0 * np.sqrt(mb))
-    prob[big] = np.exp(k0 * np.log(mb) - mb - gammaln(k0 + 1.0))
-    cum[big] = pdtr(k0, mb)
-    k[big] = k0
-    live = np.flatnonzero(u > cum)
-    rounds = 0
-    while live.size and rounds < limit:
-        rounds += 1
-        k[live] += 1
-        prob[live] *= mu[live] / k[live]
-        cum[live] += prob[live]
-        live = live[(u[live] > cum[live]) & (k[live] < limit)]
     return k
 
 
@@ -174,6 +140,28 @@ class TestLogPmf:
             assert q.sum() == pytest.approx(1.0, abs=1e-6)
 
 
+class TestDecayRate:
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6])
+    def test_every_form_within_4e16_relative(self, lam):
+        # written out, lam - 1 - log(lam) is off by 8.6e-15 at 0.99 and by
+        # 1.3e-10 at 1 - 1e-6, and lam - log(lam) - 1 by 8.8e-5 there
+        want = mp.mpf(lam) - 1 - mp.log(mp.mpf(lam))
+        for got in (
+            borel._decay_rate(lam),
+            BorelParams(lam).decay_rate,
+            concentration.delta_limit(lam),
+        ):
+            assert abs(got / want - 1) <= 4e-16
+
+    @pytest.mark.parametrize("lam", [0.9, 0.99, 0.999])
+    def test_log_pmf_at_large_j_within_4e16_relative(self, lam):
+        # the term g0 j carries the rate's error into the log mass; with g0
+        # written out, it is off by 6.1e-15 relative at lam 0.99, j = 10^6
+        for j in (10**3, 10**4, 10**5, 10**6):
+            want = float(oracle_log_pmf(lam, j))
+            assert abs(log_pmf(BorelParams(lam), j) / want - 1.0) <= 4e-16
+
+
 class TestLaw:
     def test_tail_below_eps_by_construction(self):
         L = law(BorelParams(0.5), 1e-10)
@@ -223,100 +211,15 @@ class TestLaw:
         assert p.variance == pytest.approx(0.0, abs=1e-8)
 
 
-class TestPoissonInversion:
-    @pytest.mark.parametrize("mu", [0.05, 0.5, 3.0])
-    def test_matches_scipy_pmf(self, mu):
-        rng = np.random.default_rng(42)
-        n = 200_000
-        draws = poisson_draw_vec(rng, np.full(n, mu))
-        for k in range(0, int(mu) + 4):
-            p = stats.poisson.pmf(k, mu)
-            se = math.sqrt(p * (1 - p) / n)
-            assert abs((draws == k).mean() - p) <= 4 * se + 1e-9
-
-    @pytest.mark.parametrize("mu", [745.0, 800.0, 900.0, 1e4])
-    def test_large_means_have_poisson_mean_and_variance(self, mu):
-        # exp(-mu) underflows from mu near 745; every draw must still be exact
-        n = 200_000
-        draws = poisson_draw_vec(np.random.default_rng(11), np.full(n, mu))
-        assert abs(draws.mean() - mu) <= 4 * math.sqrt(mu / n)
-        # Var of the sample variance of a Poisson(mu) is about (2 mu^2 + mu) / n
-        assert abs(draws.var() - mu) <= 4 * math.sqrt((2 * mu**2 + mu) / n)
-
-    def test_large_mean_frequencies_near_mode(self):
-        mu, n = 800.0, 200_000
-        draws = poisson_draw_vec(np.random.default_rng(12), np.full(n, mu))
-        for k in range(780, 821, 5):
-            p = stats.poisson.pmf(k, mu)
-            se = math.sqrt(p * (1 - p) / n)
-            assert abs((draws == k).mean() - p) <= 4 * se
-
-    @pytest.mark.parametrize("mu", [745.0, 5000.0, 1e6])
-    def test_shifted_start_mass_matches_mpmath(self, mu):
-        # log k0! alone is ~1.3e7 at mu = 1e6, so k0 log mu - mu - log k0!
-        # kept an ulp of it, 1.9e-9 relative, as error
-        k0, prob = borel._shifted_start(np.array([mu]))
-        k = int(k0[0])
-        assert k == math.floor(mu - 10.0 * math.sqrt(mu))
-        want = mp.exp(k * mp.log(mu) - mu - mp.loggamma(k + 1))
-        assert abs(prob[0] / float(want) - 1.0) <= 1e-13
-
-    def test_mixed_small_and_large_means(self):
-        mu = np.array([0.0, 2.0, 5000.0, 0.5, 1e6])
-        draws = poisson_draw_vec(np.random.default_rng(13), np.tile(mu, 4000))
-        got = draws.reshape(-1, mu.size).mean(axis=0)
-        assert np.all(np.abs(got - mu) <= 4 * np.sqrt(mu / 4000))
-
-
 class TestSameStream:
     """The library's walks against the full-scan, per-customer references.
 
-    The Poisson inversion draws the same stream as the full-scan reference,
-    entry for entry.  At ``cap = 1`` both walks draw nothing: they return
-    ``first + 1`` with the same censoring.  Deeper walks spend the stream a
-    generation at a time, so they are compared in law: with the per-customer
-    reference and with exact values.
+    At ``cap = 1`` both walks draw nothing: they return ``first + 1`` with
+    the same censoring.  Deeper walks spend the stream a generation at a
+    time, through numpy's Poisson sampler rather than the reference
+    inversion, so they are compared in law: with the per-customer reference
+    and with exact values.
     """
-
-    @pytest.mark.parametrize(
-        "mu",
-        [
-            np.zeros(0),
-            np.array([0.0, 0.3, 0.0, 4.0, 60.0, 699.0]),
-            np.linspace(0.0, 30.0, 5000),
-            np.random.default_rng(5).gamma(0.5, 40.0, size=(40, 60)),
-            np.full(3000, 250.0),
-        ],
-    )
-    def test_poisson_draws_match_reference(self, mu):
-        got = poisson_draw_vec(np.random.default_rng(21), mu)
-        want = _reference_poisson_draw_vec(np.random.default_rng(21), mu)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("seed", [31, 32, 33])
-    @pytest.mark.parametrize("big", [745.0, 5000.0, 1e6])
-    def test_large_means_draw_as_from_the_pdtr_start(self, big, seed):
-        # the running sum now starts at the mass of k0 alone; the lower tail
-        # it leaves out is below exp(-50), under the rounding of the sum.  The
-        # mass at k0 rounds differently from gammaln's, by up to an ulp of
-        # log k0! (1.9e-9 at k0 = 990,000), which moves about one draw in
-        # 10^5 by one at mu = 1e6; at these seeds none moves
-        rng = np.random.default_rng(seed)
-        mu = rng.random(1000) * 3.0
-        mu[rng.random(1000) < 0.4] = big
-        mu[::50] = 0.0
-        got = poisson_draw_vec(np.random.default_rng(seed + 100), mu)
-        want = _pdtr_start_poisson_draw_vec(np.random.default_rng(seed + 100), mu)
-        assert (mu == big).sum() > 300
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("mu", [0.0, 0.7, 12.5])
-    def test_zero_dim_mean_draws_as_length_one(self, mu):
-        got = poisson_draw_vec(np.random.default_rng(22), np.array(mu))
-        want = _reference_poisson_draw_vec(np.random.default_rng(22), np.array([mu]))
-        assert got.shape == ()
-        assert got == want[0]
 
     @pytest.mark.parametrize("cap", [1, 2, 50])
     def test_censored_totals_match_reference(self, cap):
@@ -324,7 +227,7 @@ class TestSameStream:
         lam, n = 0.8, 20_000
         p_over = 1.0 - math.fsum(borel.pmf_values(BorelParams(lam), cap))
         se = math.sqrt(p_over * (1.0 - p_over) / n)
-        first = poisson_draw_vec(np.random.default_rng(22), np.full(n, lam))
+        first = np.random.default_rng(22).poisson(lam, n)
         args = (first, lambda k: np.full(k, lam), cap)
         got = borel.branching_totals(np.random.default_rng(23), *args)
         want = _reference_branching_totals(np.random.default_rng(23), *args)
@@ -390,7 +293,7 @@ SERVICES = [
 def _per_path_run(lam, service, n, seed, cap):
     """Busy periods walked customer by customer: the count walk's reference."""
     rng = np.random.default_rng(seed)
-    first = poisson_draw_vec(rng, lam * service.draw(rng, n))
+    first = _reference_poisson_draw_vec(rng, lam * service.draw(rng, n))
     return _reference_branching_totals(
         rng, first, lambda k: lam * service.draw(rng, k), cap
     )

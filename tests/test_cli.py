@@ -280,6 +280,17 @@ class TestFlags:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", ["report", "stein-check", "sb-check", "queue-sim", "tails"]
+    )
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: borelstein {command}" in err
+        assert "--seed must be >= 0" in err
+
 
 class TestSbCheck:
     def test_runs_suites_2_3_12(self, capsys, tmp_path):
@@ -342,21 +353,6 @@ class TestReport:
         capsys.readouterr()
         sim = "crit_09_md1_exactness.csv"
         assert (a / sim).read_bytes() != (b / sim).read_bytes()
-
-    def test_thread_cap_does_not_change_output(self, capsys, tmp_path, monkeypatch):
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["report", "--quick", "--seed", "5", "--out", str(a)])
-        monkeypatch.setenv("BOREL_STEIN_THREADS", "4")
-        main(["report", "--quick", "--seed", "5", "--out", str(b)])
-        capsys.readouterr()
-        for name in sorted(p.name for p in a.iterdir()):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-
-    def test_malformed_thread_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BOREL_STEIN_THREADS", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["report", "--quick", "--out", str(tmp_path)])
-        assert exc.value.code == 2
 
 
 def run_python(*args):

@@ -247,23 +247,58 @@ class TestArrivalLaw:
         assert rho < 1.0 and a[K] * rho / (1.0 - rho) <= 2.0**-60
         assert 0.0 <= float(beyond) <= 2.0**-60
 
-    def test_tiny_gamma_shape_takes_the_per_path_route(self, monkeypatch):
+    def test_tiny_gamma_shape_takes_the_per_path_route(self):
         lam, n = 0.5, 100_000
         with pytest.raises(WindowOverflow):
             arrival_law(lam, gamma_service(1e-6))
-        sizes = []
-
-        def recording_draw(rng, mu):
-            sizes.append(np.size(mu))
-            return borel.poisson_draw_vec(rng, mu)
-
-        monkeypatch.setattr(mg1, "poisson_draw_vec", recording_draw)
         summary = simulate(lam, gamma_service(1e-6), n, seed=31)
-        assert sizes == [n]
+        assert summary.walked_paths == n
         var_n = (lam + lam**2 * 1e6) / (1.0 - lam) ** 3
         assert summary.censored_count == 0
         se = math.sqrt(var_n / n)
         assert abs(summary.mean_uncensored - 1.0 / (1.0 - lam)) <= 4.0 * se
+
+
+class TestLargePoissonMeans:
+    """Busy periods whose per-path Poisson draws have means past 745.
+
+    There ``exp(-mu)`` underflows, so an inversion started at k = 0 fails.
+    The high value of ``two_point(0.01, p)`` is about 1 / (1 - p).
+    """
+
+    @staticmethod
+    def _check_mean(summary, lam, s, n):
+        # Var N = (lam + lam^2 Var S) / (1 - lam)^3 for unit-mean service S
+        var_n = (lam + lam**2 * service_variance(s)) / (1.0 - lam) ** 3
+        assert summary.censored_count == 0
+        se = math.sqrt(var_n / n)
+        assert abs(summary.mean_uncensored - 1.0 / (1.0 - lam)) <= 4.0 * se
+
+    def test_handed_back_paths(self, monkeypatch):
+        lam, n, s = 0.9, 100_000, two_point(0.01, 0.999)
+        means = []
+
+        def recording_walk(rng, first, next_mu, cap):
+            def recorded(k):
+                mu = next_mu(k)
+                means.append(mu.max())
+                return mu
+
+            return borel.branching_totals(rng, first, recorded, cap)
+
+        monkeypatch.setattr(mg1, "branching_totals", recording_walk)
+        summary = simulate(lam, s, n, seed=51)
+        # one customer's mean is lam * 990.01 = 891
+        assert 0 < summary.walked_paths < n and max(means) >= 745.0
+        self._check_mean(summary, lam, s, n)
+
+    def test_every_path_walked_when_the_arrival_law_overflows(self):
+        lam, n, s = 0.9, 100_000, two_point(0.01, 0.99999)
+        with pytest.raises(WindowOverflow):
+            arrival_law(lam, s)
+        summary = simulate(lam, s, n, seed=52)
+        assert summary.walked_paths == n
+        self._check_mean(summary, lam, s, n)
 
 
 class TestSimulator:
