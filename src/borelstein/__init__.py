@@ -56,12 +56,10 @@ from .mg1 import (
     uniform_symmetric,
 )
 from .sizebias import (
-    SizeBiasPair,
     check_stochastic_order,
     geometric_sum_law,
     mixture_rhs,
     size_bias,
-    size_bias_pair,
     size_bias_tail_estimate,
     x_mean,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "BusyPeriodSummary",
     "Moments",
     "ServiceModel",
-    "SizeBiasPair",
     "SteinTable",
     "TailEstimate",
     "TruncatedLaw",
@@ -124,7 +121,6 @@ __all__ = [
     "service_variance",
     "simulate",
     "size_bias",
-    "size_bias_pair",
     "size_bias_tail_estimate",
     "solve_f",
     "stein_residual",

@@ -64,38 +64,60 @@ class UpperTailParams:
     @property
     def breakpoint(self) -> float:
         """Where the Gaussian-type branch hands over to the linear-rate one."""
-        return self.K * self.gamma * (1.0 - self.lam) ** 2 / self.lam
+        return _breakpoint(self.lam, self.gamma, self.K)
+
+
+def _check_t(t: float) -> None:
+    """Every tail function needs a finite standardized distance ``t > 0``."""
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"need finite t > 0, got {t}")
+
+
+def _moment_cap(lam: float, delta: float) -> float:
+    """Closed-form cap (1-lam) e^-delta / (lam sqrt(2 pi) (1 - e^-delta)^2)."""
+    return (1.0 - lam) * math.exp(-delta) / (
+        lam * math.sqrt(2.0 * math.pi) * (1.0 - math.exp(-delta)) ** 2
+    )
+
+
+def _gamma_K(lam: float, limit: float, delta: float) -> tuple[float, float]:
+    """The derived constants (gamma, K) for a slack, with ``limit = delta_limit(lam)``."""
+    K = 0.5 * lam * (_moment_cap(lam, delta) + 1.0 / (1.0 - lam) ** 2)
+    return limit - delta, K
+
+
+def _breakpoint(lam: float, gamma: float, K: float) -> float:
+    return K * gamma * (1.0 - lam) ** 2 / lam
+
+
+def _piecewise_bound(lam: float, gamma: float, K: float, t: float) -> float:
+    """The two-branch upper-tail bound, continuous at the breakpoint."""
+    if t < _breakpoint(lam, gamma, K):
+        return math.exp(-lam * t * t / (2.0 * K * (1.0 - lam) ** 2))
+    return math.exp(-gamma * t + K * gamma * gamma * (1.0 - lam) ** 2 / (2.0 * lam))
 
 
 def make_params(lam: float, delta: float) -> UpperTailParams:
     """Validate the slack and fill in the derived constants."""
     BorelParams(lam)  # range check on lambda
-    gamma = delta_limit(lam) - delta
-    if delta <= 0.0 or gamma <= 0.0:
+    limit = delta_limit(lam)
+    if delta <= 0.0 or limit - delta <= 0.0:
         raise DeltaOutOfRange(
-            f"delta must lie in (0, {delta_limit(lam):g}) for lambda={lam}, got {delta}"
+            f"delta must lie in (0, {limit:g}) for lambda={lam}, got {delta}"
         )
-    first = (1.0 - lam) * math.exp(-delta) / (
-        lam * math.sqrt(2.0 * math.pi) * (1.0 - math.exp(-delta)) ** 2
-    )
-    K = 0.5 * lam * (first + 1.0 / (1.0 - lam) ** 2)
+    gamma, K = _gamma_K(lam, limit, delta)
     return UpperTailParams(lam=lam, delta=delta, gamma=gamma, K=K)
 
 
 def upper_tail_bound(params: UpperTailParams, t: float) -> float:
     """Piecewise upper-tail bound, continuous at the breakpoint."""
-    if t <= 0.0:
-        raise ValueError("need t > 0")
-    lam, gamma, K = params.lam, params.gamma, params.K
-    if t < params.breakpoint:
-        return math.exp(-lam * t * t / (2.0 * K * (1.0 - lam) ** 2))
-    return math.exp(-gamma * t + K * gamma * gamma * (1.0 - lam) ** 2 / (2.0 * lam))
+    _check_t(t)
+    return _piecewise_bound(params.lam, params.gamma, params.K, t)
 
 
 def lower_tail_bound(t: float) -> float:
     """Gaussian lower-tail bound exp(-t^2 / 2)."""
-    if t <= 0.0:
-        raise ValueError("need t > 0")
+    _check_t(t)
     return math.exp(-t * t / 2.0)
 
 
@@ -106,26 +128,24 @@ def exact_tail(p: BorelParams, t: float, side: str) -> TailEstimate:
     upper side is one minus a partial sum, so the unresolved window tail is
     returned as the error bar (true value in [value, value + error_bar]).
     """
-    if t <= 0.0:
-        raise ValueError("need t > 0")
+    _check_t(t)
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     sd = math.sqrt(p.variance)
     L = borel.law(p, _EXACT_TAIL_EPS)
     if side == "lower":
         threshold = p.mean - t * sd
-        top = math.floor(threshold)
-        if top < 1:
+        if threshold < 1.0:
             return TailEstimate(value=0.0, error_bar=0.0)
-        top = min(top, L.end)
+        top = min(math.floor(threshold), L.end)
         value = float(math.fsum(L.probs[: top - L.start + 1].tolist()))
         return TailEstimate(value=value, error_bar=0.0)
     threshold = p.mean + t * sd
+    if threshold > L.end:
+        return TailEstimate(value=0.0, error_bar=L.tail_mass)
     j_min = math.ceil(threshold)
     if j_min <= L.start:
         return TailEstimate(value=1.0 - L.tail_mass, error_bar=L.tail_mass)
-    if j_min > L.end:
-        return TailEstimate(value=0.0, error_bar=L.tail_mass)
     value = float(math.fsum(L.probs[j_min - L.start :].tolist()))
     return TailEstimate(value=value, error_bar=L.tail_mass)
 
@@ -134,24 +154,27 @@ def optimize_delta(lam: float, t: float) -> DeltaChoice:
     """Best slack for one (lambda, t): grid seed plus golden-section polish.
 
     Every feasible delta yields a valid bound, so minimizing only tightens;
-    the search is deterministic, making reported bounds reproducible.
+    the search is deterministic, making reported bounds reproducible.  The
+    objective is the float arithmetic of :func:`make_params` and
+    :func:`upper_tail_bound` without their per-call validation: lambda and
+    t are checked once here, and every probed delta lies inside the range.
     """
-    if t <= 0.0:
-        raise ValueError("need t > 0")
+    _check_t(t)
+    BorelParams(lam)  # range check on lambda
     limit = delta_limit(lam)
     lo, hi = 1e-6, limit - 1e-6
-    if lo >= hi:  # extremely small feasible range; fall back to its middle
-        mid = limit / 2.0
-        return DeltaChoice(delta=mid, bound=upper_tail_bound(make_params(lam, mid), t))
 
     def objective(delta: float) -> float:
-        return upper_tail_bound(make_params(lam, delta), t)
+        return _piecewise_bound(lam, *_gamma_K(lam, limit, delta), t)
 
-    grid = np.linspace(lo, hi, 64)
+    if lo >= hi:  # extremely small feasible range; fall back to its middle
+        mid = limit / 2.0
+        return DeltaChoice(delta=mid, bound=objective(mid))
+    grid = np.linspace(lo, hi, 64).tolist()
     values = [objective(d) for d in grid]
-    best = int(np.argmin(values))
+    best = values.index(min(values))
     a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid.size - 1)]
+    b = grid[min(best + 1, len(grid) - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = objective(c), objective(d)
@@ -214,9 +237,7 @@ def biased_exp_moment(params: UpperTailParams, eps: float = 1e-16) -> float:
 
 def mgf_moment_check(params: UpperTailParams, eps: float = 1e-12) -> bool:
     """Does the summed E[Z* exp(gamma Z*)] respect its closed-form cap?"""
-    cap = (1.0 - params.lam) * math.exp(-params.delta) / (
-        params.lam * math.sqrt(2.0 * math.pi) * (1.0 - math.exp(-params.delta)) ** 2
-    )
+    cap = _moment_cap(params.lam, params.delta)
     return biased_exp_moment(params, eps=eps) <= cap
 
 

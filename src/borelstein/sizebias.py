@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from dataclasses import dataclass
 
 from . import borel
 from .borel import BorelParams
@@ -34,24 +33,6 @@ from .lawkit import TruncatedLaw, _fast_len, _trusted, convolve, mix, moments
 UNRESOLVED_TAIL_LIMIT = 1e-6
 # FFT wrap-around mass geometric_sum_law leaves in its window, at most
 WRAP_REMAINDER = 2.0**-60
-
-
-@dataclass(frozen=True)
-class SizeBiasPair:
-    """A base law together with its size-biased version.
-
-    Construction guarantees ``biased[j] = j * base[j] / mean`` on the shared
-    window, with the window mean as normalizer.
-    """
-
-    base: TruncatedLaw
-    biased: TruncatedLaw
-
-    def max_proportionality_error(self) -> float:
-        mean = moments(self.base).mean
-        support = self.base.support().astype(float)
-        expected = support * self.base.probs / mean
-        return float(np.abs(self.biased.probs[: self.base.size] - expected).max())
 
 
 def size_bias(w: TruncatedLaw) -> TruncatedLaw:
@@ -71,10 +52,6 @@ def size_bias(w: TruncatedLaw) -> TruncatedLaw:
     probs = support * w.probs / mean
     tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
     return _trusted(probs, tail, w.start)
-
-
-def size_bias_pair(w: TruncatedLaw) -> SizeBiasPair:
-    return SizeBiasPair(base=w, biased=size_bias(w))
 
 
 def size_bias_tail_estimate(w: TruncatedLaw) -> float:

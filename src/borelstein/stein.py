@@ -28,6 +28,10 @@ equation's sum at the same window M keeps the equation *exactly* satisfied
 (the recursion is precisely the statement that the truncated pieces match),
 so the residual reported by :func:`stein_residual` isolates floating-point
 drift, while the window remainder is bounded separately.
+
+Both :func:`solve_f` and :func:`stein_residual` take an ``(n, M)`` stack of
+test functions as readily as one, and the residual takes an array of k, so
+checking many test functions against one table costs one call of each.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import borel
 from .borel import _TAIL_REPORT_TOL, BorelParams, _pmf_suffix_sums
@@ -70,8 +76,17 @@ class SteinTable:
     def params(self) -> BorelParams:
         return BorelParams(self.lam)
 
+    @cached_property
+    def _q_by_offset(self) -> np.ndarray:
+        """Read-only ``(M+1, M+1)`` view whose ``[k, m]`` is q(m - k), zero for m <= k.
 
-SteinSolution = namedtuple("SteinSolution", ["f", "trunc_error", "e_h", "table"])
+        Row k is a window of one padded copy of q, so the view costs O(M).
+        """
+        padded = np.concatenate([np.zeros(self.M), self.q])
+        return sliding_window_view(padded, self.M + 1)[::-1]
+
+
+SteinSolution = namedtuple("SteinSolution", ["f", "trunc_error", "e_h", "table", "hz_sup"])
 ResidualReport = namedtuple("ResidualReport", ["residual", "remainder_bound"])
 ScaledBound = namedtuple("ScaledBound", ["lower", "upper"])
 
@@ -144,64 +159,93 @@ def coefficient_bound(p: BorelParams, k, j):
 
 
 def solve_f(h: np.ndarray, table: SteinTable, eps_tail: float = 1e-12) -> SteinSolution:
-    """Solve the equation on the table's window for one test function.
+    """Solve the equation on the table's window for one or a stack of test functions.
 
-    ``h[i]`` is the value at i + 1; the function is treated as zero above
-    the window, which makes ``E[h(Z)]`` a finite exact sum.  Returns the
-    solution values (index k, with f[0] unused and f[1] = 0 by convention)
-    plus a per-k bound on the series mass discarded beyond the window,
-    accumulated from the coefficient envelope with the pmf sums resolved to
-    ``eps_tail`` absolute accuracy.
+    ``h`` is a length-M vector, ``h[i]`` the value at i + 1, or an ``(n, M)``
+    stack of them; the function is treated as zero above the window, which
+    makes ``E[h(Z)]`` a finite exact sum.  Returns the solution values (last
+    axis indexed by k, with f[0] unused and f[1] = 0 by convention), one
+    ``e_h`` per test function (a float for a vector ``h``) and a per-k bound
+    on the series mass discarded beyond the window, shared by every row:
+    it comes from the coefficient envelope with the pmf sums resolved to
+    ``eps_tail`` absolute accuracy.  ``hz_sup`` is ``sup_k |h_z(k)|`` for
+    ``h_z = (h - E[h(Z)]) / (1 - lam)``, with h = 0 above the window, one per
+    test function.  Each row is solved by its own matrix-vector product, so
+    a stacked row equals the solution of that row alone bit for bit.
     """
     M, lam = table.M, table.lam
     h = np.asarray(h, dtype=float)
-    if h.size != M:
-        raise ValueError(f"h must supply values at 1..{M}, got length {h.size}")
-    e_h = float(math.fsum((h * table.q[1:]).tolist()))
-    h_z = np.concatenate([[0.0], (h - e_h) / (1.0 - lam)])
-    f = table.a @ h_z
-    f[:2] = 0.0
+    if h.ndim not in (1, 2) or h.shape[-1] != M:
+        raise ValueError(f"h must supply values at 1..{M}, got shape {h.shape}")
+    rows = np.atleast_2d(h)
+    e_h = np.array([math.fsum(r.tolist()) for r in rows * table.q[1:]])
+    h_z = np.zeros((rows.shape[0], M + 1))
+    h_z[:, 1:] = (rows - e_h[:, None]) / (1.0 - lam)
+    hz_sup = np.maximum(np.abs(h_z).max(axis=1), np.abs(e_h) / (1.0 - lam))
+    f = np.empty_like(h_z)
+    for f_row, z in zip(f, h_z):
+        np.matmul(table.a, z, out=f_row)
+    f[:, :2] = 0.0
     _, sums_jq = _pmf_suffix_sums(lam, tol=min(eps_tail, _TAIL_REPORT_TOL), min_size=M + 1)
     k = np.arange(2, M + 1)
     trunc = np.zeros(M + 1)
     trunc[2:] = lam * sums_jq[M - k] / ((k - 1) * (1.0 - lam))
-    return SteinSolution(f=f, trunc_error=trunc, e_h=e_h, table=table)
+    if h.ndim == 1:
+        f, e_h, hz_sup = f[0], float(e_h[0]), float(hz_sup[0])
+    return SteinSolution(f=f, trunc_error=trunc, e_h=e_h, table=table, hz_sup=hz_sup)
 
 
 def stein_residual(
     sol: SteinSolution,
     h: np.ndarray,
-    k: int,
+    k,
     accuracy: float | None = None,
 ) -> ResidualReport:
-    """Defect of the equation at ``k`` for a solved test function.
+    """Defect of the equation at ``k`` for solved test functions.
+
+    ``h`` is what :func:`solve_f` solved, a vector or an ``(n, M)`` stack,
+    and ``k`` an integer or an integer array with ``2 <= k < M``.  The
+    report's fields have shape ``h.shape[:-1] + k.shape`` (floats for a
+    vector ``h`` and an integer ``k``); the equation's inner sums for every
+    k come from one matrix-vector product per test function, with the pmf
+    arranged by offset.
 
     Both the solution series and the equation's sum stop at the same window,
     so in exact arithmetic the defect vanishes and ``residual`` measures
     floating-point drift alone.  ``remainder_bound`` bounds the terms the
-    window ignores, via the solution envelope above M times the pmf tail;
-    passing ``accuracy`` turns an oversized remainder into
-    ``InsufficientWindow``.
+    window ignores, via the solution envelope above M,
+    ``|f(j)| <= sol.hz_sup / ((1-lam)(j-1))``, times the pmf tail; passing
+    ``accuracy`` turns an oversized remainder into ``InsufficientWindow``.
     """
     table = sol.table
     M, lam = table.M, table.lam
-    if not 2 <= k < M:
-        raise ValueError(f"need 2 <= k < {M}, got {k}")
+    # an integer k becomes a numpy scalar, so that a single defect is scalar
+    # arithmetic; an array k broadcasts through the same expressions
+    k = np.asarray(k)[()]
+    if k.dtype.kind not in "iu" or ((k < 2) | (k >= M)).any():
+        raise ValueError(f"need integer 2 <= k < {M}, got {k}")
     h = np.asarray(h, dtype=float)
-    lhs = h[k - 1] - sol.e_h
-    inner = float(np.dot(sol.f[k + 1 : M + 1], table.q[1 : M - k + 1]))
-    rhs = (1.0 - lam) * (k - 1) * sol.f[k] - lam * (1.0 - lam) * k * inner
-    # envelope above the window: |f(j)| <= sup|h_z| / ((1-lam)(j-1)), j > M,
-    # with h == 0 there, so sup|h_z| accounts for the centering constant too
-    hz_sup = max(float(np.max(np.abs(h - sol.e_h))), abs(sol.e_h)) / (1.0 - lam)
+    if h.shape != sol.f.shape[:-1] + (M,):
+        raise ValueError(f"h has shape {h.shape}, the solution {sol.f.shape}")
+    # one value per test function, given the axes of k
+    k_axes = (...,) + (None,) * k.ndim
+    e_h = np.asarray(sol.e_h)[k_axes][()]
+    hz_sup = np.asarray(sol.hz_sup)[k_axes][()]
+    # inner[..., k] = sum_{m > k} f[..., m] q(m - k): one matrix-vector
+    # product per test function gives every k
+    inner = (table._q_by_offset[k] @ sol.f[..., None])[..., 0]
+    rhs = (1.0 - lam) * (k - 1) * sol.f[..., k][()] - lam * (1.0 - lam) * k * inner
+    residual = abs(h[..., k - 1][()] - e_h - rhs)
     sums_q, _ = _pmf_suffix_sums(lam, min_size=M + 1)
-    tail_q = float(sums_q[M - k])  # sum_{i > M-k} q(i)
-    remainder = lam * k * hz_sup * tail_q / M
-    if accuracy is not None and remainder > accuracy:
+    # sums_q[M - k] = sum_{i > M-k} q(i)
+    remainder = lam * k * hz_sup * sums_q[M - k] / M
+    if accuracy is not None and np.max(remainder) > accuracy:
         raise InsufficientWindow(
-            f"window remainder {remainder:g} exceeds requested accuracy {accuracy:g}"
+            f"window remainder {np.max(remainder):g} exceeds requested accuracy {accuracy:g}"
         )
-    return ResidualReport(residual=abs(lhs - rhs), remainder_bound=remainder)
+    if residual.ndim == 0:
+        return ResidualReport(residual=float(residual), remainder_bound=float(remainder))
+    return ResidualReport(residual=residual, remainder_bound=remainder)
 
 
 def size_bias_tv_bound(w: TruncatedLaw, p: BorelParams, eps: float) -> ScaledBound:

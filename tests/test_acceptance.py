@@ -6,11 +6,14 @@ checks its runtime budget, and prints a one-line verdict.
 """
 
 import filecmp
+import math
 import time
 
+import numpy as np
 import pytest
 
-from borelstein import acceptance
+from borelstein import acceptance, stein
+from borelstein.borel import BorelParams
 from borelstein.cli import main
 
 SEED = 42
@@ -69,3 +72,48 @@ def test_criterion_13_reproducibility(tmp_path):
     elapsed = time.time() - start
     print(f"CRITERION 13: PASS  {len(names)} files byte-identical ({elapsed:.1f}s)")
     assert elapsed <= 300
+
+
+@pytest.mark.parametrize("draw", ["uniform", "random"])
+def test_one_stacked_draw_equals_row_by_row_draws(draw):
+    """Suites 6 and 7 draw a cell's test functions as one (n_h, M) array."""
+    stacked = acceptance.task_rng(SEED, 6, 0)
+    rows = acceptance.task_rng(SEED, 6, 0)
+    if draw == "uniform":
+        got = stacked.uniform(-1.0, 1.0, size=(20, 120))
+        want = [rows.uniform(-1.0, 1.0, size=120) for _ in range(20)]
+    else:
+        got = stacked.random((100, 60))
+        want = [rows.random(60) for _ in range(100)]
+    assert np.array_equal(got, np.array(want))
+    assert stacked.random() == rows.random()
+
+
+def test_stacked_suites_match_one_solve_per_test_function():
+    """Suites 6 and 7 against loops of single solves and single-k residuals."""
+    grid, M = (0.3, 0.9), 60
+    six = acceptance.run_stein_residual(SEED, grid=grid, M=M)
+    seven = acceptance.run_stein_supnorm(SEED, grid=grid, M=M)
+    for cell, lam in enumerate(grid):
+        table = stein.build_table(BorelParams(lam), M)
+        rng = acceptance.task_rng(SEED, 6, cell)
+        worst = 0.0
+        for _ in range(20):
+            h = rng.uniform(-1.0, 1.0, size=M)
+            sol = stein.solve_f(h, table)
+            for k in range(2, 31):
+                worst = max(worst, stein.stein_residual(sol, h, k).residual)
+        assert abs(six.rows[cell][3] - worst) <= 1e-15
+        rng = acceptance.task_rng(SEED, 7, cell)
+        cap = 1.0 / (1.0 - lam) ** 2
+        sharper = 1.0 / ((1.0 - lam) ** 2 * np.arange(1, M))
+        excess = -math.inf
+        for _ in range(100):
+            sol = stein.solve_f(rng.random(M), table)
+            fv, slack = np.abs(sol.f[2:]), sol.trunc_error[2:]
+            excess = max(
+                excess,
+                float(np.max(fv - (cap + slack))),
+                float(np.max(fv - (sharper + slack))),
+            )
+        assert seven.rows[cell][2] == excess

@@ -211,6 +211,44 @@ class TestLaw:
         assert p.variance == pytest.approx(0.0, abs=1e-8)
 
 
+class TestLawCache:
+    """Equal arguments share one immutable law; failures are not remembered."""
+
+    def test_equal_arguments_return_the_same_law(self):
+        a = law(BorelParams(0.37), 1e-11)
+        assert law(BorelParams(0.37), 1e-11) is a
+        assert law(BorelParams(0.37), 1e-11, cap=borel.DEFAULT_WINDOW_CAP) is a
+        assert not a.probs.flags.writeable
+        with pytest.raises(ValueError):
+            a.probs[0] = 0.0
+
+    def test_different_arguments_return_different_laws(self):
+        a = law(BorelParams(0.37), 1e-11)
+        assert law(BorelParams(0.38), 1e-11) is not a
+        assert law(BorelParams(0.37), 1e-12) is not a
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-300, -1e-3, 1.0, math.nan])
+    def test_bad_eps_rejected_before_the_cache(self, eps):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                law(BorelParams(0.5), eps)
+
+    def test_window_overflow_is_not_cached(self):
+        p = BorelParams(0.9)
+        for _ in range(2):
+            with pytest.raises(WindowOverflow):
+                law(p, 1e-10, cap=100)
+        L = law(p, 1e-10, cap=100_000)
+        assert 0.0 <= L.tail_mass < 1e-10
+        with pytest.raises(WindowOverflow):
+            law(p, 1e-10, cap=100)
+
+    def test_cache_is_small(self):
+        for j in range(3 * borel._LAW_CACHE_SIZE):
+            law(BorelParams(0.1 + 0.01 * j), 1e-10)
+        assert borel._law.cache_info().currsize == borel._LAW_CACHE_SIZE
+
+
 class TestSameStream:
     """The library's walks against the full-scan, per-customer references.
 

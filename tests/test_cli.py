@@ -346,6 +346,21 @@ class TestReport:
             for row in rows:
                 assert len(row.split(",")) == width, (path.name, row)
 
+    def test_report_is_reproducible_across_processes(self, tmp_path):
+        # each process starts with empty caches, which an in-process rerun
+        # of the report never does
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for out in dirs:
+            proc = run_python(
+                "-m", "borelstein", "report", "--quick", "--seed", "42", "--out", str(out)
+            )
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir())
+        assert len(names) == 13
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
     def test_different_seeds_change_simulation_output(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["report", "--quick", "--seed", "1", "--out", str(a)])

@@ -3,10 +3,12 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from borelstein.borel import BorelParams
 from borelstein.concentration import (
+    UpperTailParams,
     biased_exp_moment,
     delta_limit,
     exact_tail,
@@ -146,6 +148,116 @@ class TestOptimizeDelta:
         a = optimize_delta(0.45, 1.5)
         b = optimize_delta(0.45, 1.5)
         assert a == b
+
+
+def reference_make_params(lam, delta):
+    """The constants as make_params built them before its float helpers."""
+    BorelParams(lam)
+    gamma = delta_limit(lam) - delta
+    if delta <= 0.0 or gamma <= 0.0:
+        raise DeltaOutOfRange(f"delta {delta} out of range")
+    first = (1.0 - lam) * math.exp(-delta) / (
+        lam * math.sqrt(2.0 * math.pi) * (1.0 - math.exp(-delta)) ** 2
+    )
+    K = 0.5 * lam * (first + 1.0 / (1.0 - lam) ** 2)
+    return UpperTailParams(lam=lam, delta=delta, gamma=gamma, K=K)
+
+
+def reference_upper_tail_bound(params, t):
+    lam, gamma, K = params.lam, params.gamma, params.K
+    if t < params.breakpoint:
+        return math.exp(-lam * t * t / (2.0 * K * (1.0 - lam) ** 2))
+    return math.exp(-gamma * t + K * gamma * gamma * (1.0 - lam) ** 2 / (2.0 * lam))
+
+
+def reference_optimize_delta(lam, t):
+    """The slack search with one validated parameter bundle per probe."""
+    limit = delta_limit(lam)
+    lo, hi = 1e-6, limit - 1e-6
+    if lo >= hi:
+        mid = limit / 2.0
+        return mid, reference_upper_tail_bound(reference_make_params(lam, mid), t)
+
+    def objective(delta):
+        return reference_upper_tail_bound(reference_make_params(lam, delta), t)
+
+    grid = np.linspace(lo, hi, 64)
+    values = [objective(d) for d in grid]
+    best = int(np.argmin(values))
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, grid.size - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(80):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = objective(d)
+    delta = (a + b) / 2.0
+    return delta, objective(delta)
+
+
+class TestFloatObjective:
+    """The float objective against one validated parameter bundle per probe."""
+
+    @pytest.mark.parametrize("lam", GRID + [1e-3, 0.998, 0.999])
+    def test_optimize_delta_bit_for_bit(self, lam):
+        for t in T_GRID:
+            choice = optimize_delta(lam, t)
+            assert (choice.delta, choice.bound) == reference_optimize_delta(lam, t)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 0.999])
+    def test_make_params_and_bound_bit_for_bit(self, lam):
+        for frac in (0.1, 0.5, 0.9):
+            delta = frac * delta_limit(lam)
+            got, want = make_params(lam, delta), reference_make_params(lam, delta)
+            assert got == want
+            for t in T_GRID + [got.breakpoint]:
+                assert upper_tail_bound(got, t) == reference_upper_tail_bound(want, t)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, -0.2])
+    def test_optimize_delta_rejects_lambda_outside_0_1(self, lam):
+        with pytest.raises(ValueError):
+            optimize_delta(lam, 1.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteT:
+    """Every tail function rejects a t that is not a finite positive number."""
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_upper_tail_bound(self, t):
+        with pytest.raises(ValueError):
+            upper_tail_bound(make_params(0.5, 0.1), t)
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_lower_tail_bound(self, t):
+        with pytest.raises(ValueError):
+            lower_tail_bound(t)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_exact_tail(self, t, side):
+        with pytest.raises(ValueError):
+            exact_tail(BorelParams(0.5), t, side)
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_optimize_delta(self, t):
+        with pytest.raises(ValueError):
+            optimize_delta(0.5, t)
+
+    def test_huge_finite_t_gives_empty_tails(self):
+        p = BorelParams(0.5)
+        assert exact_tail(p, 1e308, "lower") == (0.0, 0.0)
+        up = exact_tail(p, 1e308, "upper")
+        assert up.value == 0.0 and up.error_bar >= 0.0
 
 
 class TestMomentChecks:

@@ -14,7 +14,6 @@ from borelstein.sizebias import (
     geometric_sum_law,
     mixture_rhs,
     size_bias,
-    size_bias_pair,
     size_bias_tail_estimate,
     x_mean,
 )
@@ -78,8 +77,11 @@ class TestSizeBias:
             size_bias(make_law([0.9], tail_mass=0.1))
 
     def test_pair_proportionality(self):
-        pair = size_bias_pair(borel.law(BorelParams(0.4), 1e-10))
-        assert pair.max_proportionality_error() <= 1e-12
+        base = borel.law(BorelParams(0.4), 1e-10)
+        biased = size_bias(base)
+        assert biased.start == base.start and biased.size == base.size
+        expected = base.support() * base.probs / moments(base).mean
+        assert np.abs(biased.probs - expected).max() <= 1e-12
 
     def test_idempotent_only_for_point_masses(self):
         # degenerate laws are fixed points; anything with spread is not

@@ -295,6 +295,116 @@ class TestResidual:
             assert lhs == pytest.approx(e_f_star - e_f_mix, abs=1e-7)
 
 
+def scalar_residual(sol, h, k):
+    """The single-k defect the library computed before it took an array of k.
+
+    One dot product for the inner sum at one k; returns (residual, remainder).
+    """
+    table = sol.table
+    M, lam = table.M, table.lam
+    lhs = h[k - 1] - sol.e_h
+    inner = float(np.dot(sol.f[k + 1 : M + 1], table.q[1 : M - k + 1]))
+    rhs = (1.0 - lam) * (k - 1) * sol.f[k] - lam * (1.0 - lam) * k * inner
+    hz_sup = max(float(np.max(np.abs(h - sol.e_h))), abs(sol.e_h)) / (1.0 - lam)
+    sums_q, _ = borel._pmf_suffix_sums(lam, min_size=M + 1)
+    remainder = lam * k * hz_sup * float(sums_q[M - k]) / M
+    return abs(lhs - rhs), remainder
+
+
+class TestStackedSolve:
+    """An (n, M) stack of test functions against n single solves."""
+
+    @pytest.mark.parametrize("M", [60, 400])
+    @pytest.mark.parametrize("lam", [0.001, 0.3, 0.9])
+    def test_rows_equal_single_solves_bit_for_bit(self, lam, M):
+        t = build_table(BorelParams(lam), M)
+        hs = np.random.default_rng(61).uniform(-1.0, 1.0, size=(7, M))
+        stacked = solve_f(hs, t)
+        assert stacked.f.shape == (7, M + 1) and stacked.e_h.shape == (7,)
+        for i, h in enumerate(hs):
+            single = solve_f(h, t)
+            assert isinstance(single.e_h, float)
+            assert stacked.e_h[i] == single.e_h
+            assert stacked.hz_sup[i] == single.hz_sup
+            assert np.array_equal(stacked.f[i], single.f)
+            assert np.array_equal(stacked.trunc_error, single.trunc_error)
+
+    def test_one_row_stack_keeps_its_axis(self):
+        t = build_table(BorelParams(0.5), 30)
+        sol = solve_f(np.ones((1, 30)), t)
+        assert sol.f.shape == (1, 31) and sol.e_h.shape == (1,)
+
+    @pytest.mark.parametrize("shape", [(29,), (31,), (2, 29), (2, 3, 30), ()])
+    def test_wrong_shape_rejected(self, shape):
+        t = build_table(BorelParams(0.5), 30)
+        with pytest.raises(ValueError):
+            solve_f(np.zeros(shape), t)
+
+
+class TestResidualArrayK:
+    """Array k and stacked h against the single-k loop, one dot product each."""
+
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.9])
+    def test_vector_h_matches_scalar_loop(self, lam):
+        t = build_table(BorelParams(lam), 120)
+        h = np.random.default_rng(67).uniform(-1.0, 1.0, size=120)
+        sol = solve_f(h, t)
+        k = np.arange(2, 120)
+        rep = stein_residual(sol, h, k)
+        assert rep.residual.shape == rep.remainder_bound.shape == k.shape
+        for i, kk in enumerate(k.tolist()):
+            residual, remainder = scalar_residual(sol, h, kk)
+            assert abs(rep.residual[i] - residual) <= 1e-15
+            assert rep.remainder_bound[i] == remainder
+
+    def test_stacked_h_matches_scalar_loop(self):
+        t = build_table(BorelParams(0.7), 80)
+        hs = np.random.default_rng(71).random((5, 80))
+        sol = solve_f(hs, t)
+        k = np.array([2, 9, 30, 79])
+        rep = stein_residual(sol, hs, k)
+        assert rep.residual.shape == (5, 4)
+        for n, h in enumerate(hs):
+            single = solve_f(h, t)
+            for i, kk in enumerate(k.tolist()):
+                residual, remainder = scalar_residual(single, h, kk)
+                assert abs(rep.residual[n, i] - residual) <= 1e-15
+                assert rep.remainder_bound[n, i] == remainder
+
+    def test_scalar_k_gives_floats_and_stacks_give_rows(self):
+        t = build_table(BorelParams(0.5), 40)
+        hs = np.random.default_rng(73).random((3, 40))
+        one = stein_residual(solve_f(hs[0], t), hs[0], 7)
+        assert isinstance(one.residual, float) and isinstance(one.remainder_bound, float)
+        rows = stein_residual(solve_f(hs, t), hs, np.int32(7))
+        assert rows.residual.shape == (3,)
+        assert rows.remainder_bound[0] == one.remainder_bound
+
+    @pytest.mark.parametrize("k", [1, 40, 2.0, np.array([2, 40]), np.array([3.0])])
+    def test_bad_k_rejected(self, k):
+        t = build_table(BorelParams(0.5), 40)
+        h = np.ones(40)
+        with pytest.raises(ValueError):
+            stein_residual(solve_f(h, t), h, k)
+
+    def test_h_must_match_the_solution(self):
+        t = build_table(BorelParams(0.5), 40)
+        hs = np.ones((2, 40))
+        with pytest.raises(ValueError):
+            stein_residual(solve_f(hs, t), hs[0], 5)
+
+    def test_any_oversized_remainder_is_insufficient_window(self):
+        t = build_table(BorelParams(0.7), 60)
+        h = np.ones(60)
+        h[5] = -1.0
+        sol = solve_f(h, t)
+        k = np.arange(2, 31)
+        rep = stein_residual(sol, h, k)
+        with pytest.raises(InsufficientWindow):
+            stein_residual(sol, h, k, accuracy=rep.remainder_bound.max() / 10.0)
+        stein_residual(sol, h, k, accuracy=rep.remainder_bound.max())
+
+
 class TestSizeBiasTvBound:
     def test_borel_itself_scores_near_zero(self):
         for lam in (0.3, 0.5, 0.9):
