@@ -15,8 +15,8 @@ print("first few masses:")
 for j in range(1, 6):
     print(f"  P(Z = {j}) = {pmf(p, j):.12f}")
 
-# The adaptive law keeps the smallest window holding 1 - eps of the mass and
-# books the exact complement as tail mass.
+# The adaptive law stops at the first window whose certified tail bound is
+# at most eps and books the exact complement as tail mass.
 L = law(p, eps=1e-10)
 print(f"\nwindow for eps=1e-10: {L.end} points, tail mass {L.tail_mass:.3e}")
 print(f"conservation defect: {abs(L.window_sum() + L.tail_mass - 1.0):.3e}")

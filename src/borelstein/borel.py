@@ -25,10 +25,9 @@ from .errors import InvalidIndex, WindowOverflow
 from .lawkit import TruncatedLaw, _trusted
 
 DEFAULT_WINDOW_CAP = 10_000_000
-# below machine epsilon, 1 - eps rounds so close to 1 that no window sum certifies it
+# below machine epsilon, the rounding of the window sum, whose complement is
+# the reported tail mass, outweighs eps
 MIN_EPS = float(np.finfo(float).eps)
-# accuracy to which tail sums of q(j) and j q(j) are resolved by default
-_TAIL_REPORT_TOL = 1e-14
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # largest j computed with the naive formula; above it the Stirling path is
@@ -168,54 +167,67 @@ def pmf_values(p: BorelParams, M: int) -> np.ndarray:
     return np.exp(_log_pmf_array(p.lam, np.arange(1.0, M + 1.0)))
 
 
-def _suffix_remainders(lam: float, W: int) -> tuple[float, float]:
-    """Upper bounds on ``sum_{j > W} q(j)`` and ``sum_{j > W} j q(j)``.
+def _suffix_remainders(lam: float, W, q_w=None):
+    """Upper bounds on ``sum_{j > W} q(j)`` and ``sum_{j > W} j q(j)``, elementwise in W.
 
     The pmf ratio ``q(j+1) / q(j) = lam e^-lam (1 + 1/j)^(j-1)`` rises to
     ``r = exp(-decay_rate)``, so ``q(W + k) <= r^k q(W)`` and the two sums
     are at most ``q(W) r / (1 - r)`` and
-    ``q(W) (W r / (1 - r) + r / (1 - r)^2)``.
+    ``q(W) (W r / (1 - r) + r / (1 - r)^2)``.  A caller that holds the pmf
+    at W passes it as ``q_w`` rather than have it evaluated again.
     """
-    r = math.exp(-_decay_rate(lam))
-    q_w = float(np.exp(_log_pmf_array(lam, np.array([float(W)])))[0])
-    return q_w * r / (1.0 - r), q_w * (W * r / (1.0 - r) + r / (1.0 - r) ** 2)
+    if q_w is None:
+        q_w = np.exp(_log_pmf_array(lam, W))
+    decay = _decay_rate(lam)
+    gap = -math.expm1(-decay)  # 1 - r, without cancellation near lam -> 1
+    ratio = math.exp(-decay) / gap
+    return q_w * ratio, q_w * (W * ratio + ratio / gap)
 
 
-@lru_cache(maxsize=64)
-def _pmf_suffix_sums(lam: float, tol: float = _TAIL_REPORT_TOL, min_size: int = 0):
-    """Suffix sums of q(j) and j*q(j), indexed by cutoff W, with remainders.
+def _certified_window(masses, remainders, tol: float, cap: int) -> np.ndarray:
+    """The terms ``a[0..K]`` of a series, cut where a certified remainder allows.
 
-    ``sums_q[W]`` bounds ``sum_{j > W} q(j)`` from above (same for j*q);
-    the window extends until ``_suffix_remainders`` certifies the
-    uncomputed part of ``sum j q(j)`` below ``tol``, and the remainders are
-    folded into every entry so the reported sums stay upper bounds.
+    ``masses(size)`` gives the terms at indices 0, ..., size - 1, and
+    ``remainders(a)``, from those terms alone, an upper bound per index on
+    the mass beyond that index.  K is the first index whose bound is at most
+    ``tol``.  The window doubles from 64 points up to ``cap`` and raises
+    ``WindowOverflow`` past it; the result is a copy, so it pins no search
+    buffer.
     """
-    size = 1024
-    while size < min_size:
-        size *= 2
+    size = min(64, cap)
     while True:
-        rem_q, rem_jq = _suffix_remainders(lam, size)
-        if rem_jq <= tol:
-            break
-        size *= 2
-    q = pmf_values(BorelParams(lam), size)
-    jq = np.arange(1.0, size + 1.0) * q
-    cum_q, cum_jq = np.cumsum(q), np.cumsum(jq)
-    sums_q = np.concatenate([[cum_q[-1]], cum_q[-1] - cum_q]) + rem_q
-    sums_jq = np.concatenate([[cum_jq[-1]], cum_jq[-1] - cum_jq]) + rem_jq
-    sums_q.setflags(write=False)
-    sums_jq.setflags(write=False)
-    return sums_q, sums_jq
+        a = masses(size)
+        hit = np.flatnonzero(remainders(a) <= tol)
+        if hit.size:
+            return a[: hit[0] + 1].copy()
+        if size >= cap:
+            raise WindowOverflow(f"window cap {cap} too small for a remainder below {tol:g}")
+        size = min(2 * size, cap)
+
+
+def _pmf_window(lam: float, tol: float, cap: int, moment: int) -> np.ndarray:
+    """p(1), ..., p(W) for the first W with ``sum_{j > W} j^moment q(j)`` bounded by tol.
+
+    ``moment`` is 0 (the tail mass) or 1 (the tail of ``j q(j)``); the
+    bound is ``_suffix_remainders``, from the masses already evaluated.
+    """
+    return _certified_window(
+        lambda size: np.exp(_log_pmf_array(lam, np.arange(1.0, size + 1.0))),
+        lambda q: _suffix_remainders(lam, np.arange(1.0, q.size + 1.0), q)[moment],
+        tol,
+        cap,
+    )
 
 
 def law(p: BorelParams, eps: float, cap: int = DEFAULT_WINDOW_CAP) -> TruncatedLaw:
-    """Smallest truncated law whose window holds at least ``1 - eps`` mass.
+    """Truncated law cut at the first W whose certified tail bound is at most ``eps``.
 
-    The tail mass is the exact complement of the window sum.  Raises
-    ``WindowOverflow`` when more than ``cap`` window points would be needed,
-    which signals that ``lam`` is too close to 1 for the requested ``eps``.
-    An ``eps`` below ``MIN_EPS`` is rejected: no double-precision window sum
-    can certify it.
+    The bound on the mass above W is ``_suffix_remainders``, a geometric
+    ratio remainder; the tail mass is the exact complement of the window
+    sum.  Raises ``WindowOverflow`` when more than ``cap`` window points
+    would be needed, which signals that ``lam`` is too close to 1 for the
+    requested ``eps``.  An ``eps`` below ``MIN_EPS`` is rejected: the
+    window sum's rounding would outweigh it.
 
     Equal arguments return the same law object: ``TruncatedLaw`` is frozen
     with read-only probabilities, so the last few laws are memoized (see
@@ -228,31 +240,16 @@ def law(p: BorelParams, eps: float, cap: int = DEFAULT_WINDOW_CAP) -> TruncatedL
 
 # The report asks for 254 laws but only 36 distinct (lam, eps) pairs, and
 # its repeats come back to back: 4 entries catch 195 of the 218 repeats
-# while holding at most 9,221 points.  The size stays small because one
+# while holding at most 9,257 points.  The size stays small because one
 # window near lam -> 1 can take up to ``cap`` points (80 MB at the default).
 _LAW_CACHE_SIZE = 4
 
 
 @lru_cache(maxsize=_LAW_CACHE_SIZE)
 def _law(lam: float, eps: float, cap: int) -> TruncatedLaw:
-    target = 1.0 - eps
-    size = 512
-    while True:
-        if size > cap:
-            size = cap
-        q = np.exp(_log_pmf_array(lam, np.arange(1.0, size + 1.0)))
-        cum = np.cumsum(q)
-        hit = np.searchsorted(cum, target)
-        if hit < q.size:
-            M = int(hit) + 1
-            probs = q[:M]
-            tail = 1.0 - math.fsum(probs.tolist())
-            return _trusted(probs, tail, 1)
-        if size == cap:
-            raise WindowOverflow(
-                f"window cap {cap} too small for lambda={lam}, eps={eps}"
-            )
-        size *= 2
+    probs = _pmf_window(lam, eps, cap, 0)
+    tail = 1.0 - math.fsum(probs.tolist())
+    return _trusted(probs, tail, 1)
 
 
 def sample_many(

@@ -44,6 +44,7 @@ import numpy as np
 from .borel import (
     _DIRECT_J_MAX,
     DEFAULT_WINDOW_CAP,
+    _certified_window,
     _poisson_masses,
     _stirling,
     branching_totals,
@@ -219,33 +220,6 @@ def bound_qbd2(lam: float, s: ServiceModel) -> float:
     return lam**2 * service_abs_moment(s) / (1.0 - 2.0 * lam)
 
 
-def _certified_masses(masses, ratio_bound) -> np.ndarray:
-    """The window ``a[0..K]`` of a law on {0, 1, ...}, cut where its tail is negligible.
-
-    ``masses(size)`` returns the masses at 0, ..., size - 1 and
-    ``ratio_bound(k)`` an array ``rho`` with ``a[j+1] / a[j] <= rho[i]`` for
-    every ``j >= k[i]``.  K is the first index whose geometric-ratio
-    remainder ``a[K] rho / (1 - rho)``, with ``rho < 1``, is at most
-    ``ARRIVAL_REMAINDER`` = 2^-60, so the mass beyond the window is below
-    that.  The window doubles from 64 points; past ``MAX_ARRIVAL_WINDOW``
-    points it raises ``WindowOverflow``.
-    """
-    size = 64
-    while True:
-        a = masses(size)
-        rho = ratio_bound(np.arange(size, dtype=float))
-        with np.errstate(divide="ignore"):
-            rem = np.where(rho < 1.0, a * rho / (1.0 - rho), np.inf)
-        hit = np.flatnonzero(rem <= ARRIVAL_REMAINDER)
-        if hit.size:
-            return a[: hit[0] + 1]
-        if size >= MAX_ARRIVAL_WINDOW:
-            raise WindowOverflow(
-                f"no remainder below 2^-60 within {MAX_ARRIVAL_WINDOW} arrival counts"
-            )
-        size *= 2
-
-
 def _poisson_upper_tails(x: float, size: int) -> np.ndarray:
     """P(k+1, x) = P(Poisson(x) > k), k < size, for 0 <= x < 2.
 
@@ -308,25 +282,36 @@ def arrival_law(lam: float, s: ServiceModel) -> np.ndarray:
             log_a = np.concatenate([[0.0], np.cumsum(steps)])
             return np.exp(log_a - alpha * math.log1p(lam / alpha))
 
-        return _certified_masses(
-            masses, lambda k: np.maximum(1.0, (k + alpha) / (k + 1.0)) * tilt
-        )
-    if s.kind == "deterministic":
-        top = lam
-        masses = functools.partial(_poisson_masses, lam)
-    elif s.kind == "uniform":
-        top = lam * (1.0 + s.half_width)
-        masses = functools.partial(_uniform_masses, lam, s.half_width)
-    elif s.kind == "two_point":
-        top = lam * s.high
-
-        def masses(size):
-            low = _poisson_masses(lam * s.low, size)
-            return s.low_prob * low + (1.0 - s.low_prob) * _poisson_masses(top, size)
+        def ratio_bound(k):
+            return np.maximum(1.0, (k + alpha) / (k + 1.0)) * tilt
 
     else:
-        raise ValueError(f"unknown service kind {s.kind!r}")
-    return _certified_masses(masses, lambda k: top / (k + 1.0))
+        if s.kind == "deterministic":
+            top = lam
+            masses = functools.partial(_poisson_masses, lam)
+        elif s.kind == "uniform":
+            top = lam * (1.0 + s.half_width)
+            masses = functools.partial(_uniform_masses, lam, s.half_width)
+        elif s.kind == "two_point":
+            top = lam * s.high
+
+            def masses(size):
+                low = _poisson_masses(lam * s.low, size)
+                return s.low_prob * low + (1.0 - s.low_prob) * _poisson_masses(top, size)
+
+        else:
+            raise ValueError(f"unknown service kind {s.kind!r}")
+
+        def ratio_bound(k):
+            return top / (k + 1.0)
+
+    def remainders(a):
+        # a[k] rho / (1 - rho) bounds the mass beyond k once rho < 1
+        rho = ratio_bound(np.arange(a.size, dtype=float))
+        with np.errstate(divide="ignore"):
+            return np.where(rho < 1.0, a * rho / (1.0 - rho), np.inf)
+
+    return _certified_window(masses, remainders, ARRIVAL_REMAINDER, MAX_ARRIVAL_WINDOW)
 
 
 @dataclass(frozen=True)

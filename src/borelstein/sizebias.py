@@ -94,9 +94,9 @@ def geometric_sum_law(p: BorelParams, eps: float) -> TruncatedLaw:
     in ``tail_mass``, the exact complement of the window sum, never spread
     over the window.  The FFT of length L adds the sum's mass at j + L,
     j + 2L, ... to the mass at j.  That wrapped mass is nonnegative and at
-    most the size-biased mass at ``j >= L``, ``(1 - lam) sum_{j >= L} j q(j)``,
-    bounded by ``borel._suffix_remainders``; L grows until the bound is at
-    most ``WRAP_REMAINDER`` = 2^-60.  ``eps`` must be at least
+    most the size-biased mass at ``j >= L``.  So L is at least 2 (W + 1)
+    for the output window W, and above the first cut past which that mass
+    is certified at most ``WRAP_REMAINDER`` = 2^-60.  ``eps`` must be at least
     ``2 MIN_EPS / (1 - lam)``, so that the base window can be certified.
     """
     lam = p.lam
@@ -105,8 +105,8 @@ def geometric_sum_law(p: BorelParams, eps: float) -> TruncatedLaw:
         floor = 2.0 * borel.MIN_EPS / (1.0 - lam)
         raise ValueError(f"eps must lie in [{floor:g}, 1) at lambda={lam}, got {eps}")
     base = borel.law(p, base_eps)
-    cap = _window_for_biased_tail(p, eps / 8.0, at_least=base.end)
-    size, _ = _fft_length(p, cap)
+    cap = max(_biased_cut(lam, eps / 8.0), base.end)
+    size = _fast_len(max(2 * (cap + 1), _biased_cut(lam, WRAP_REMAINDER) + 1))
     # index j holds the mass at j; the sum starts at 1
     q = np.fft.rfft(np.concatenate([[0.0], base.probs]), size)
     acc = np.fft.irfft((1.0 - lam) * q / (1.0 - lam * q), size)[1 : cap + 1]
@@ -115,29 +115,13 @@ def geometric_sum_law(p: BorelParams, eps: float) -> TruncatedLaw:
     return _trusted(probs, tail, 1)
 
 
-def _fft_length(p: BorelParams, cap: int) -> tuple[int, float]:
-    """5-smooth FFT length >= ``2 (cap + 1)``, and a bound on the mass it wraps.
+def _biased_cut(lam: float, target: float) -> int:
+    """First W whose size-biased Borel mass above W is certified <= ``target``.
 
-    The bound is the size-biased Borel mass at ``j >= size``; the length
-    doubles until it is at most ``WRAP_REMAINDER``.
+    That mass is ``(1 - lam) sum_{j > W} j q(j)``, bounded by
+    ``borel._suffix_remainders``.
     """
-    size = _fast_len(2 * (cap + 1))
-    while True:
-        wrapped = (1.0 - p.lam) * borel._suffix_remainders(p.lam, size - 1)[1]
-        if wrapped <= WRAP_REMAINDER:
-            return size, wrapped
-        size = _fast_len(2 * size)
-
-
-def _window_for_biased_tail(p: BorelParams, target: float, at_least: int) -> int:
-    """First W >= ``at_least`` with size-biased Borel mass above W <= ``target``.
-
-    The biased mass above W is ``(1 - lam) * sum_{j > W} j q(j)``; the suffix
-    sums are upper bounds resolved to ``target``, so a cutoff always exists.
-    """
-    _, sums_jq = borel._pmf_suffix_sums(p.lam, tol=target)
-    hit = int(np.argmax((1.0 - p.lam) * sums_jq <= target))
-    return max(hit, at_least)
+    return borel._pmf_window(lam, target / (1.0 - lam), borel.DEFAULT_WINDOW_CAP, 1).size
 
 
 def x_mean(p: BorelParams) -> float:

@@ -27,7 +27,9 @@ A useful structural fact: truncating both the solution series and the
 equation's sum at the same window M keeps the equation *exactly* satisfied
 (the recursion is precisely the statement that the truncated pieces match),
 so the residual reported by :func:`stein_residual` isolates floating-point
-drift, while the window remainder is bounded separately.
+drift, while the window remainder is bounded separately: from tail sums of
+the table's own pmf window, summed from the far end, plus the certified
+geometric-ratio remainder ``borel._suffix_remainders`` beyond M.
 
 Both :func:`solve_f` and :func:`stein_residual` take an ``(n, M)`` stack of
 test functions as readily as one, and the residual takes an array of k, so
@@ -45,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import borel
-from .borel import _TAIL_REPORT_TOL, BorelParams, _pmf_suffix_sums
+from .borel import BorelParams
 from .errors import InsufficientWindow, MeanMismatch, WindowOverflow
 from .lawkit import TruncatedLaw, moments, tv_distance
 from .sizebias import mixture_rhs, size_bias
@@ -84,6 +86,21 @@ class SteinTable:
         """
         padded = np.concatenate([np.zeros(self.M), self.q])
         return sliding_window_view(padded, self.M + 1)[::-1]
+
+    @cached_property
+    def _tail_sums(self) -> np.ndarray:
+        """Read-only bounds on ``sum_{j > W} q(j)`` (row 0) and ``j q(j)`` (row 1), W = 0..M.
+
+        The window's terms are summed from the far end, so a tail far below
+        the total keeps its digits, and the mass beyond M adds
+        ``borel._suffix_remainders(lam, M)``.
+        """
+        terms = np.stack([self.q, np.arange(self.M + 1) * self.q])
+        sums = np.zeros_like(terms)
+        sums[:, :-1] = np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
+        sums += np.array(borel._suffix_remainders(self.lam, self.M))[:, None]
+        sums.setflags(write=False)
+        return sums
 
 
 SteinSolution = namedtuple("SteinSolution", ["f", "trunc_error", "e_h", "table", "hz_sup"])
@@ -158,7 +175,7 @@ def coefficient_bound(p: BorelParams, k, j):
     return float(bound) if bound.ndim == 0 else bound
 
 
-def solve_f(h: np.ndarray, table: SteinTable, eps_tail: float = 1e-12) -> SteinSolution:
+def solve_f(h: np.ndarray, table: SteinTable) -> SteinSolution:
     """Solve the equation on the table's window for one or a stack of test functions.
 
     ``h`` is a length-M vector, ``h[i]`` the value at i + 1, or an ``(n, M)``
@@ -167,8 +184,8 @@ def solve_f(h: np.ndarray, table: SteinTable, eps_tail: float = 1e-12) -> SteinS
     axis indexed by k, with f[0] unused and f[1] = 0 by convention), one
     ``e_h`` per test function (a float for a vector ``h``) and a per-k bound
     on the series mass discarded beyond the window, shared by every row:
-    it comes from the coefficient envelope with the pmf sums resolved to
-    ``eps_tail`` absolute accuracy.  ``hz_sup`` is ``sup_k |h_z(k)|`` for
+    it comes from the coefficient envelope and the table's certified tail
+    sums of ``j q(j)``.  ``hz_sup`` is ``sup_k |h_z(k)|`` for
     ``h_z = (h - E[h(Z)]) / (1 - lam)``, with h = 0 above the window, one per
     test function.  Each row is solved by its own matrix-vector product, so
     a stacked row equals the solution of that row alone bit for bit.
@@ -186,7 +203,7 @@ def solve_f(h: np.ndarray, table: SteinTable, eps_tail: float = 1e-12) -> SteinS
     for f_row, z in zip(f, h_z):
         np.matmul(table.a, z, out=f_row)
     f[:, :2] = 0.0
-    _, sums_jq = _pmf_suffix_sums(lam, tol=min(eps_tail, _TAIL_REPORT_TOL), min_size=M + 1)
+    _, sums_jq = table._tail_sums
     k = np.arange(2, M + 1)
     trunc = np.zeros(M + 1)
     trunc[2:] = lam * sums_jq[M - k] / ((k - 1) * (1.0 - lam))
@@ -236,7 +253,7 @@ def stein_residual(
     inner = (table._q_by_offset[k] @ sol.f[..., None])[..., 0]
     rhs = (1.0 - lam) * (k - 1) * sol.f[..., k][()] - lam * (1.0 - lam) * k * inner
     residual = abs(h[..., k - 1][()] - e_h - rhs)
-    sums_q, _ = _pmf_suffix_sums(lam, min_size=M + 1)
+    sums_q, _ = table._tail_sums
     # sums_q[M - k] = sum_{i > M-k} q(i)
     remainder = lam * k * hz_sup * sums_q[M - k] / M
     if accuracy is not None and np.max(remainder) > accuracy:

@@ -1,6 +1,7 @@
 """Borel distribution tests: pmf accuracy, adaptive law, moments, sampler."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -167,6 +168,29 @@ class TestLaw:
         L = law(BorelParams(0.5), 1e-10)
         assert 0.0 <= L.tail_mass < 1e-10
 
+    @pytest.mark.parametrize("eps", [1e-10, 1e-12, 1e-13])
+    @pytest.mark.parametrize("lam", GRID)
+    def test_tail_is_at_most_eps_at_the_first_certified_cut(self, lam, eps):
+        L = law(BorelParams(lam), eps)
+        assert 0.0 <= L.tail_mass <= eps
+        assert borel._suffix_remainders(lam, L.end)[0] <= eps
+        if L.end > 1:
+            assert borel._suffix_remainders(lam, L.end - 1)[0] > eps
+
+    @pytest.mark.parametrize("lam", [0.98, 0.99])
+    def test_near_critical_window_is_certified_quickly(self, lam):
+        # cut by cumsum(pmf) >= 1 - eps, these grew to the 10^7 cap and overflowed
+        borel._law.cache_clear()
+        start = time.perf_counter()
+        L = law(BorelParams(lam), 1e-13)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 <= L.tail_mass <= 1e-13
+
+    @pytest.mark.parametrize("lam, eps", [(0.9, 1e-10), (0.5, 1e-13), (0.1, 0.5)])
+    def test_law_pins_no_search_buffer(self, lam, eps):
+        L = law(BorelParams(lam), eps)
+        assert L.probs.base is None or L.probs.base.size <= L.probs.size
+
     def test_moments_close_to_closed_forms(self):
         L = law(BorelParams(0.5), 1e-12)
         m = moments(L)
@@ -209,6 +233,30 @@ class TestLaw:
         p = BorelParams(1e-9)
         assert p.mean == pytest.approx(1.0, rel=1e-8)
         assert p.variance == pytest.approx(0.0, abs=1e-8)
+
+
+class TestCertifiedWindow:
+    """The one window search: masses 2^-k, whose mass beyond k is 2^-k."""
+
+    @staticmethod
+    def _halvings(sizes):
+        def masses(size):
+            sizes.append(size)
+            return 0.5 ** np.arange(size)
+
+        return masses
+
+    def test_doubles_from_64_and_cuts_at_the_first_certified_index(self):
+        sizes = []
+        w = borel._certified_window(self._halvings(sizes), lambda a: a, 2.0**-100, 1000)
+        assert sizes == [64, 128]
+        assert w.size == 101 and w.base is None
+
+    def test_overflow_past_the_cap(self):
+        sizes = []
+        with pytest.raises(WindowOverflow):
+            borel._certified_window(self._halvings(sizes), lambda a: a, 2.0**-100, 100)
+        assert sizes == [64, 100]
 
 
 class TestLawCache:

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import borelstein
-from borelstein import acceptance, mg1
+from borelstein import acceptance, borel, cli, mg1
+from borelstein.borel import BorelParams
 from borelstein.cli import _parse_service, build_parser, main
 
 
@@ -55,13 +56,29 @@ class TestPmf:
         assert code == 3
         assert "numeric failure" in err
 
+    def test_near_critical_eps_is_certified_within_the_cap(self, capsys, monkeypatch):
+        # the window holds about 3.9e5 rows; keep them rather than format them
+        tables = []
+        monkeypatch.setattr(
+            cli, "_write_table", lambda columns, rows, out, fmt: tables.append(list(rows))
+        )
+        argv = ["pmf", "--lambda", "0.99", "--eps", "1e-13"]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        (rows,) = tables
+        L = borel.law(BorelParams(0.99), 1e-13)
+        assert len(rows) == L.end and rows[-1][:2] == [L.end, L.probs[-1]]
+        code, _, err = run(argv + ["--cap", "1000"], capsys)
+        assert code == 3
+        assert "numeric failure" in err
+
     def test_bad_eps_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pmf", "--lambda", "0.5", "--eps", "0"])
         assert exc.value.code == 2
 
     def test_eps_below_double_precision_is_usage_error(self, capsys):
-        # 1 - 1e-300 rounds to 1: no window sum can certify that target
+        # below machine epsilon the window sum's rounding outweighs eps
         with pytest.raises(SystemExit) as exc:
             main(["pmf", "--lambda", "0.5", "--eps", "1e-300"])
         assert exc.value.code == 2

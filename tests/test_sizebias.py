@@ -30,7 +30,7 @@ def _per_term_geometric_sum(p, eps):
     """
     lam = p.lam
     base = borel.law(p, eps * (1.0 - lam) / 2.0)
-    cap = sizebias._window_for_biased_tail(p, eps / 8.0, at_least=base.end)
+    cap = max(sizebias._biased_cut(lam, eps / 8.0), base.end)
     base0 = np.zeros(cap + 1)
     base0[1 : base.end + 1] = base.probs
     cur = base0.copy()
@@ -203,12 +203,15 @@ class TestGeometricSum:
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-10])
     @pytest.mark.parametrize("lam", [0.01] + GRID + [0.95, 0.97, 0.98])
-    def test_wrapped_mass_is_certified(self, lam, eps):
-        p = BorelParams(lam)
-        base = borel.law(p, eps * (1.0 - lam) / 2.0)
-        cap = sizebias._window_for_biased_tail(p, eps / 8.0, at_least=base.end)
-        size, wrapped = sizebias._fft_length(p, cap)
-        assert size >= 2 * (cap + 1)
+    def test_wrapped_mass_is_certified(self, lam, eps, monkeypatch):
+        # the FFT length geometric_sum_law takes, seen through np.fft.rfft
+        lengths = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n: lengths.append(n) or rfft(a, n))
+        geo = geometric_sum_law(BorelParams(lam), eps)
+        (size,) = lengths
+        assert size >= 2 * (geo.end + 1)
+        wrapped = (1.0 - lam) * borel._suffix_remainders(lam, size - 1)[1]
         assert wrapped <= sizebias.WRAP_REMAINDER == 2.0**-60
 
     def test_near_critical_lambda_is_fast(self):
@@ -217,6 +220,15 @@ class TestGeometricSum:
         geo = geometric_sum_law(BorelParams(0.97), 1e-10)
         assert time.perf_counter() - start < 1.0
         assert geo.tail_mass <= 1e-10
+
+    @pytest.mark.parametrize("lam", [0.95, 0.98])
+    def test_near_critical_tight_eps_is_certified_quickly(self, lam):
+        # with the base window cut by cumsum(pmf), these overflowed the 10^7 cap
+        start = time.perf_counter()
+        geo = geometric_sum_law(BorelParams(lam), 1e-12)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 <= geo.tail_mass <= 1e-12
+        assert geo.window_sum() + geo.tail_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_coarse_eps_keeps_residual_in_tail(self):
         geo = geometric_sum_law(BorelParams(0.5), 1e-3)

@@ -306,16 +306,56 @@ def scalar_residual(sol, h, k):
     inner = float(np.dot(sol.f[k + 1 : M + 1], table.q[1 : M - k + 1]))
     rhs = (1.0 - lam) * (k - 1) * sol.f[k] - lam * (1.0 - lam) * k * inner
     hz_sup = max(float(np.max(np.abs(h - sol.e_h))), abs(sol.e_h)) / (1.0 - lam)
-    sums_q, _ = borel._pmf_suffix_sums(lam, min_size=M + 1)
+    sums_q, _ = table._tail_sums
     remainder = lam * k * hz_sup * float(sums_q[M - k]) / M
     return abs(lhs - rhs), remainder
+
+
+def far_tail_sums(lam, M):
+    """``sum_{j > W} q(j)`` and ``sum_{j > W} j q(j)`` for W < M, summed far past M.
+
+    Each suffix is an exact float sum (``math.fsum``) of the pmf out to
+    ``M + 40 M + 80 / decay_rate`` points, or 10^5 past M near lam -> 1: a
+    lower bound on each tail, and within 1e-30 of it wherever it reaches
+    that far.
+    """
+    p = BorelParams(lam)
+    far = M + min(40 * M + int(80.0 / p.decay_rate), 10**5)
+    q = borel.pmf_values(p, far)
+    jq = np.arange(1.0, far + 1.0) * q
+    sums = []
+    for terms in (q, jq):
+        beyond = math.fsum(terms[M:].tolist())
+        sums.append(np.array([math.fsum(terms[W:M].tolist()) + beyond for W in range(M)]))
+    return sums
+
+
+class TestTailSums:
+    """The table's tail sums against far-summed references: upper bounds everywhere."""
+
+    # float summation order alone may move a sum by this much, relative
+    ROUNDING = 1e-13
+
+    @pytest.mark.parametrize("M", [60, 120])
+    @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 0.9, 0.999])
+    def test_trunc_error_and_remainder_bound_are_upper_bounds(self, lam, M):
+        ref_q, ref_jq = far_tail_sums(lam, M)
+        h = np.random.default_rng(79).random(M)
+        sol = solve_f(h, build_table(BorelParams(lam), M))
+        k = np.arange(2, M)
+        want = lam * ref_jq[M - k] / ((k - 1) * (1.0 - lam))
+        assert np.all(sol.trunc_error[k] >= want * (1.0 - self.ROUNDING))
+        rep = stein_residual(sol, h, k)
+        want = lam * k * sol.hz_sup * ref_q[M - k] / M
+        assert np.all(rep.remainder_bound >= want * (1.0 - self.ROUNDING))
+        assert np.all(rep.remainder_bound > 0.0)
 
 
 class TestStackedSolve:
     """An (n, M) stack of test functions against n single solves."""
 
     @pytest.mark.parametrize("M", [60, 400])
-    @pytest.mark.parametrize("lam", [0.001, 0.3, 0.9])
+    @pytest.mark.parametrize("lam", [0.001, 0.3, 0.9, 0.999])
     def test_rows_equal_single_solves_bit_for_bit(self, lam, M):
         t = build_table(BorelParams(lam), M)
         hs = np.random.default_rng(61).uniform(-1.0, 1.0, size=(7, M))
