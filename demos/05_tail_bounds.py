@@ -46,6 +46,6 @@ print(
 )
 
 print(
-    "\nexponential-moment cap behind the upper bound holds by direct summation: "
+    "\nexponential-moment cap behind the upper bound holds in closed form: "
     f"{mgf_moment_check(params)}"
 )

@@ -247,6 +247,10 @@ _LAW_CACHE_SIZE = 4
 
 @lru_cache(maxsize=_LAW_CACHE_SIZE)
 def _law(lam: float, eps: float, cap: int) -> TruncatedLaw:
+    # q(j) decreases in j, so if the bound at the cap exceeds eps, so does
+    # the bound at every W <= cap: fail before searching
+    if cap < 1 or _suffix_remainders(lam, cap)[0] > eps:
+        raise WindowOverflow(f"window cap {cap} too small for a remainder below {eps:g}")
     probs = _pmf_window(lam, eps, cap, 0)
     tail = 1.0 - math.fsum(probs.tolist())
     return _trusted(probs, tail, 1)

@@ -47,7 +47,3 @@ class LambdaOutOfRange(BorelSteinError):
 
 class DeltaOutOfRange(BorelSteinError):
     """Slack parameter leaves no positive exponential decay rate."""
-
-
-class SumDivergenceGuard(BorelSteinError):
-    """Series terms failed to decay; summation aborted."""

@@ -229,6 +229,16 @@ class TestLaw:
         with pytest.raises(WindowOverflow):
             law(BorelParams(0.99), 1e-10, cap=1000)
 
+    def test_cap_below_the_window_fails_before_the_search(self, monkeypatch):
+        assert law(BorelParams(0.99), 1e-13, cap=389_625).end == 389_625
+
+        def no_search(*args):
+            raise AssertionError("searched a window the cap cannot hold")
+
+        monkeypatch.setattr(borel, "_pmf_window", no_search)
+        with pytest.raises(WindowOverflow):
+            law(BorelParams(0.99), 1e-13, cap=389_624)
+
     def test_mean_variance_limits_near_zero(self):
         p = BorelParams(1e-9)
         assert p.mean == pytest.approx(1.0, rel=1e-8)

@@ -68,6 +68,11 @@ class TestPmf:
         (rows,) = tables
         L = borel.law(BorelParams(0.99), 1e-13)
         assert len(rows) == L.end and rows[-1][:2] == [L.end, L.probs[-1]]
+        # the cdf is the complement of the mass above j: no summation drift
+        probs = L.probs.tolist()
+        for r in [0, 10, 10**3, 10**5, L.end - 1]:
+            assert rows[r][2] == pytest.approx(math.fsum(probs[: r + 1]), abs=2.3e-16)
+        assert rows[-1][2] == 1.0 - L.tail_mass
         code, _, err = run(argv + ["--cap", "1000"], capsys)
         assert code == 3
         assert "numeric failure" in err

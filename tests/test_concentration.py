@@ -6,9 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from borelstein.borel import BorelParams
+from borelstein.borel import BorelParams, _log_pmf_array
 from borelstein.concentration import (
     UpperTailParams,
+    _tree,
     biased_exp_moment,
     delta_limit,
     exact_tail,
@@ -294,20 +295,60 @@ class TestMomentChecks:
         params = make_params(lam, delta_limit(lam) / 2.0)
         assert exp_moment_gap_check(params)
 
+    @pytest.mark.parametrize("frac", [0.01, 0.5])
+    @pytest.mark.parametrize("lam", [0.99, 0.999])
+    def test_near_critical(self, lam, frac):
+        params = make_params(lam, frac * delta_limit(lam))
+        assert mgf_moment_check(params)
+        assert exp_moment_gap_check(params)
 
-class TestSeriesGuard:
-    def test_divergent_series_trips_guard(self):
-        from borelstein.concentration import _sum_series
-        from borelstein.errors import SumDivergenceGuard
+    @pytest.mark.parametrize("lam,frac", [(0.5, 1e-6), (1e-9, 0.999)])
+    def test_small_and_large_slack(self, lam, frac):
+        params = make_params(lam, frac * delta_limit(lam))
+        assert mgf_moment_check(params)
+        assert exp_moment_gap_check(params)
+        with mp.workdps(50):
+            T = tree_oracle(params.delta)
+            oracle = (1 - mp.mpf(lam)) * T / (lam * (1 - T) ** 3)
+        assert biased_exp_moment(params) == pytest.approx(float(oracle), rel=1e-14)
 
-        with pytest.raises(SumDivergenceGuard):
-            _sum_series(lambda j: 1e-9 * j, eps=1e-12, what="probe")
 
-    def test_decaying_series_sums(self):
-        from borelstein.concentration import _sum_series
+def tree_oracle(delta):
+    """T in (0, 1] with T - log T = 1 + delta, from the principal Lambert W."""
+    return -mp.lambertw(-mp.exp(-1 - mp.mpf(delta))).real
 
-        got = _sum_series(lambda j: -0.5 * j, eps=1e-16, what="probe")
-        assert got == pytest.approx(math.exp(-0.5) / (1 - math.exp(-0.5)), rel=1e-12)
+
+def series(lam, theta, power, slack):
+    """sum_j j^power e^(theta j) q(j), summed until e^(-slack j) is below 1e-22."""
+    j = np.arange(1.0, math.ceil(50.0 / slack) + 1.0)
+    terms = np.exp(theta * j + power * np.log(j) + _log_pmf_array(lam, j))
+    return math.fsum(terms.tolist())
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize(
+        "delta", [1e-16, 1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 690.0]
+    )
+    def test_tree_against_lambert_w(self, delta):
+        T, one_minus_T = _tree(delta)
+        with mp.workdps(50):
+            oracle = tree_oracle(delta)
+            assert T == pytest.approx(float(oracle), rel=1e-15)
+            assert one_minus_T == pytest.approx(float(1 - oracle), rel=5e-16)
+
+    @pytest.mark.parametrize("frac", [0.25, 0.75])
+    @pytest.mark.parametrize("lam", [0.1, 0.4, 0.7])
+    def test_against_series(self, lam, frac):
+        limit = delta_limit(lam)
+        params = make_params(lam, frac * limit)
+        moment = (1 - lam) * series(lam, params.gamma, 2, params.delta)
+        assert biased_exp_moment(params) == pytest.approx(moment, rel=4e-15)
+        theta = params.gamma / 2.0
+        T, one_minus_T = _tree(limit - theta)
+        plain = series(lam, theta, 0, limit - theta)
+        biased = (1 - lam) * series(lam, theta, 1, limit - theta)
+        assert T / lam == pytest.approx(plain, rel=4e-15)
+        assert (1 - lam) * T / (lam * one_minus_T) == pytest.approx(biased, rel=4e-15)
 
 
 class TestDomination:
