@@ -253,7 +253,7 @@ def _law(lam: float, eps: float, cap: int) -> TruncatedLaw:
         raise WindowOverflow(f"window cap {cap} too small for a remainder below {eps:g}")
     probs = _pmf_window(lam, eps, cap, 0)
     tail = 1.0 - math.fsum(probs.tolist())
-    return _trusted(probs, tail, 1)
+    return _trusted(probs, tail)
 
 
 def sample_many(

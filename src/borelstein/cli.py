@@ -3,7 +3,7 @@
 Subcommands, and the flags each takes; any other flag is a usage error::
 
     pmf           adaptive pmf/cdf table for one lambda
-                  --lambda --lambda-grid --eps --cap --out --format
+                  --lambda --eps --cap --out --format
     stein-check   acceptance suites 4-7: envelope, Abel, residual, sup-norm
                   --lambda --lambda-grid --table-size --seed --quick --out
     sb-check      acceptance suites 2, 3, 12: size-bias identities
@@ -46,15 +46,13 @@ import numpy as np
 
 from . import acceptance, borel, mg1, stein
 from .borel import BorelParams
-from .errors import BorelSteinError, InsufficientWindow, WindowOverflow
+from .errors import BorelSteinError, WindowOverflow
 from .lawkit import tv_distance
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-_NUMERIC_ERRORS = (WindowOverflow, InsufficientWindow)
 
 SUITE_SLUGS = {
     "1": "borel_validity",
@@ -98,15 +96,16 @@ def _write_table(columns, rows, out: str | None, fmt: str) -> None:
 
 def _parse_lambda_grid(args, parser):
     """The rates from ``--lambda`` or ``--lambda-grid``; None when neither is given."""
-    if args.lam is not None and args.lambda_grid:
+    spec = getattr(args, "lambda_grid", None)  # pmf takes --lambda alone
+    if args.lam is not None and spec:
         parser.error("give either --lambda or --lambda-grid, not both")
     if args.lam is not None:
         grid = [args.lam]
-    elif args.lambda_grid:
+    elif spec:
         try:
-            grid = [float(tok) for tok in args.lambda_grid.split(",") if tok.strip()]
+            grid = [float(tok) for tok in spec.split(",") if tok.strip()]
         except ValueError:
-            parser.error(f"cannot parse --lambda-grid {args.lambda_grid!r}")
+            parser.error(f"cannot parse --lambda-grid {spec!r}")
     else:
         return None
     for lam in grid:
@@ -144,7 +143,7 @@ def _services_from(args, parser):
 
 def cmd_pmf(args, parser) -> int:
     grid = _parse_lambda_grid(args, parser)
-    if grid is None or len(grid) != 1:
+    if grid is None:
         parser.error("pmf expects a single --lambda")
     p = BorelParams(grid[0])
     L = borel.law(p, args.eps, cap=args.cap)
@@ -337,7 +336,7 @@ _FLAGS = {
 
 # command -> (handler, help, the flags it takes)
 _COMMANDS = {
-    "pmf": (cmd_pmf, "pmf/cdf table", "lambda lambda-grid eps cap out format"),
+    "pmf": (cmd_pmf, "pmf/cdf table", "lambda eps cap out format"),
     "stein-check": (cmd_stein_check, "coefficient and equation suites",
                     "lambda lambda-grid table-size seed quick out"),
     "sb-check": (cmd_sb_check, "size-bias identity cross-checks",
@@ -381,7 +380,7 @@ def main(argv=None) -> int:
         parser.error("--seed must be >= 0")
     try:
         return _COMMANDS[args.command][0](args, parser)
-    except _NUMERIC_ERRORS as exc:
+    except WindowOverflow as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except BorelSteinError as exc:

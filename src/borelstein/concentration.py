@@ -147,15 +147,15 @@ def exact_tail(p: BorelParams, t: float, side: str) -> TailEstimate:
         if threshold < 1.0:
             return TailEstimate(value=0.0, error_bar=0.0)
         top = min(math.floor(threshold), L.end)
-        value = float(math.fsum(L.probs[: top - L.start + 1].tolist()))
+        value = float(math.fsum(L.probs[:top].tolist()))
         return TailEstimate(value=value, error_bar=0.0)
     threshold = p.mean + t * sd
     if threshold > L.end:
         return TailEstimate(value=0.0, error_bar=L.tail_mass)
     j_min = math.ceil(threshold)
-    if j_min <= L.start:
+    if j_min <= 1:
         return TailEstimate(value=1.0 - L.tail_mass, error_bar=L.tail_mass)
-    value = float(math.fsum(L.probs[j_min - L.start :].tolist()))
+    value = float(math.fsum(L.probs[j_min - 1 :].tolist()))
     return TailEstimate(value=value, error_bar=L.tail_mass)
 
 

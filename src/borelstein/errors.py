@@ -37,10 +37,6 @@ class MeanMismatch(BorelSteinError):
     """A law violates the mean hypothesis required by the bound."""
 
 
-class InsufficientWindow(BorelSteinError):
-    """Truncation window too small to certify the requested accuracy."""
-
-
 class LambdaOutOfRange(BorelSteinError):
     """Arrival rate outside the range where the formula is meaningful."""
 

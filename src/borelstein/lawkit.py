@@ -11,11 +11,9 @@ exact distance of every pair of full laws consistent with the stored windows.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,12 +30,11 @@ _DIRECT_CONV_LIMIT = 1_000_000
 class TruncatedLaw:
     """A probability law on the positive integers with a finite window.
 
-    ``probs[i]`` is the mass at ``start + i``; ``tail_mass`` is the mass
+    ``probs[i]`` is the mass at ``i + 1``; ``tail_mass`` is the mass
     attributed to ``{end + 1, end + 2, ...}``.  Instances are immutable and
     safe to share across threads.
     """
 
-    start: int
     probs: np.ndarray
     tail_mass: float
 
@@ -45,8 +42,6 @@ class TruncatedLaw:
         probs = np.asarray(self.probs, dtype=float)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if self.start < 1:
-            raise ValueError(f"support must start at 1 or above, got {self.start}")
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a nonempty 1-D vector")
         if not np.all(np.isfinite(probs)):
@@ -62,25 +57,25 @@ class TruncatedLaw:
     @property
     def end(self) -> int:
         """Largest support point inside the window."""
-        return self.start + self.probs.size - 1
+        return self.probs.size
 
     @property
     def size(self) -> int:
         return self.probs.size
 
     def support(self) -> np.ndarray:
-        return np.arange(self.start, self.end + 1)
+        return np.arange(1, self.end + 1)
 
     def window_sum(self) -> float:
         return float(math.fsum(self.probs.tolist()))
 
     def at(self, j: int) -> float:
-        """Mass at the integer ``j`` (zero below the window start)."""
-        if j < self.start:
+        """Mass at the integer ``j`` (zero below 1)."""
+        if j < 1:
             return 0.0
         if j > self.end:
             raise ValueError(f"{j} is above the window; only tail mass is known there")
-        return float(self.probs[j - self.start])
+        return float(self.probs[j - 1])
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ class TVInterval:
 Moments = namedtuple("Moments", ["mean", "second_moment", "tail_unresolved"])
 
 
-def _trusted(probs: np.ndarray, tail_mass: float, start: int) -> TruncatedLaw:
+def _trusted(probs: np.ndarray, tail_mass: float) -> TruncatedLaw:
     """Build a law from internally computed arrays, absorbing float dust."""
     probs = np.asarray(probs, dtype=float)
     lo = probs.min(initial=0.0)
@@ -112,10 +107,10 @@ def _trusted(probs: np.ndarray, tail_mass: float, start: int) -> TruncatedLaw:
         probs = np.maximum(probs, 0.0)
     if -CONSERVATION_TOL < tail_mass < 0.0:
         tail_mass = 0.0
-    return TruncatedLaw(start=start, probs=probs, tail_mass=tail_mass)
+    return TruncatedLaw(probs=probs, tail_mass=tail_mass)
 
 
-def make_law(probs, tail_mass: float = 0.0, start: int = 1) -> TruncatedLaw:
+def make_law(probs, tail_mass: float = 0.0) -> TruncatedLaw:
     """Validate user-supplied masses and renormalize the total to exactly 1.
 
     Raises ``NegativeMass`` for any negative entry and ``NotNormalized`` when
@@ -129,41 +124,37 @@ def make_law(probs, tail_mass: float = 0.0, start: int = 1) -> TruncatedLaw:
     total = math.fsum(probs.tolist()) + tail_mass
     if abs(total - 1.0) > INPUT_TOL:
         raise NotNormalized(f"masses sum to {total!r}; expected 1 within {INPUT_TOL:g}")
-    return TruncatedLaw(start=start, probs=probs / total, tail_mass=tail_mass / total)
+    return TruncatedLaw(probs=probs / total, tail_mass=tail_mass / total)
 
 
 def point_mass(j: int) -> TruncatedLaw:
     """The degenerate law at the positive integer ``j``."""
     if j < 1:
         raise ValueError("support point must be >= 1")
-    return TruncatedLaw(start=j, probs=np.array([1.0]), tail_mass=0.0)
-
-
-@lru_cache(maxsize=1)
-def _smooth_lengths() -> list[int]:
-    """Every 5-smooth integer 2^a 3^b 5^c up to 2^40, ascending."""
-    top = 2**40
-    out = []
-    p5 = 1
-    while p5 <= top:
-        p35 = p5
-        while p35 <= top:
-            p = p35
-            while p <= top:
-                out.append(p)
-                p *= 2
-            p35 *= 3
-        p5 *= 5
-    return sorted(out)
+    probs = np.zeros(j)
+    probs[-1] = 1.0
+    return TruncatedLaw(probs=probs, tail_mass=0.0)
 
 
 def _fast_len(n: int) -> int:
-    """Smallest 5-smooth integer >= n, for 1 <= n <= 2^40.
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n, for n >= 1.
 
-    The real-FFT length ``scipy.fft.next_fast_len(n, True)`` picks.
+    The real-FFT length ``scipy.fft.next_fast_len(n, True)`` picks.  Each
+    odd part 3^b 5^c below the next power of two is shifted up by the
+    fewest factors of two that reach n.
     """
-    smooth = _smooth_lengths()
-    return smooth[bisect.bisect_left(smooth, n)]
+    m = n - 1
+    best = 1 << m.bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35 << (m // p35).bit_length()
+            if p < best:
+                best = p
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,33 +178,29 @@ def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def convolve(a: TruncatedLaw, b: TruncatedLaw) -> TruncatedLaw:
     """Law of the sum of independent draws from ``a`` and ``b``.
 
-    The result window spans every sum of window points; all cross terms
-    involving either tail land in the result's ``tail_mass``.
+    The result window spans every sum of window points, which starts at 2,
+    so its first entry is a zero; all cross terms involving either tail land
+    in the result's ``tail_mass``.
     """
-    probs = _convolve_masses(a.probs, b.probs)
+    probs = np.concatenate([[0.0], _convolve_masses(a.probs, b.probs)])
     tail = 1.0 - math.fsum(probs.tolist())
-    return _trusted(probs, tail, a.start + b.start)
+    return _trusted(probs, tail)
 
 
 def mix(w: float, a: TruncatedLaw, b: TruncatedLaw) -> TruncatedLaw:
     """Mixture ``w * a + (1 - w) * b`` on the union of the two windows."""
     if not 0.0 <= w <= 1.0:
         raise WeightOutOfRange(f"mixture weight {w} outside [0, 1]")
-    start = min(a.start, b.start)
-    end = max(a.end, b.end)
-    probs = np.zeros(end - start + 1)
-    probs[a.start - start : a.end - start + 1] += w * a.probs
-    probs[b.start - start : b.end - start + 1] += (1.0 - w) * b.probs
+    probs = np.zeros(max(a.end, b.end))
+    probs[: a.end] += w * a.probs
+    probs[: b.end] += (1.0 - w) * b.probs
     tail = w * a.tail_mass + (1.0 - w) * b.tail_mass
-    return _trusted(probs, tail, start)
+    return _trusted(probs, tail)
 
 
 def _beyond(law: TruncatedLaw, cutoff: int) -> float:
     """Mass the law holds strictly above ``cutoff`` (window part plus tail)."""
-    if cutoff >= law.end:
-        return law.tail_mass
-    first = max(cutoff + 1 - law.start, 0)
-    return float(math.fsum(law.probs[first:].tolist())) + law.tail_mass
+    return float(math.fsum(law.probs[cutoff:].tolist())) + law.tail_mass
 
 
 def tv_distance(a: TruncatedLaw, b: TruncatedLaw) -> TVInterval:
@@ -226,19 +213,9 @@ def tv_distance(a: TruncatedLaw, b: TruncatedLaw) -> TVInterval:
     endpoints are attained, so the interval is sharp; with two zero tails it
     collapses to the exact distance.
     """
-    lo = min(a.start, b.start)
     common_end = min(a.end, b.end)
-    if common_end >= lo:
-        width = common_end - lo + 1
-        dense_a = np.zeros(width)
-        dense_b = np.zeros(width)
-        if common_end >= a.start:
-            dense_a[a.start - lo :] = a.probs[: common_end - a.start + 1]
-        if common_end >= b.start:
-            dense_b[b.start - lo :] = b.probs[: common_end - b.start + 1]
-        common_l1 = float(math.fsum(np.abs(dense_a - dense_b).tolist()))
-    else:
-        common_l1 = 0.0
+    diff = a.probs[:common_end] - b.probs[:common_end]
+    common_l1 = float(math.fsum(np.abs(diff).tolist()))
     beyond_a = _beyond(a, common_end)
     beyond_b = _beyond(b, common_end)
     lower = 0.5 * (common_l1 + abs(beyond_a - beyond_b))
@@ -250,7 +227,7 @@ def tv_distance(a: TruncatedLaw, b: TruncatedLaw) -> TVInterval:
 
 def _count_law(counts: np.ndarray, n: int) -> TruncatedLaw:
     """The law with mass ``counts[i] / n`` at i + 1; the rest of n is tail mass."""
-    return _trusted(counts / n, float(n - counts.sum()) / n, 1)
+    return _trusted(counts / n, float(n - counts.sum()) / n)
 
 
 def empirical_law(samples, M: int, n_total: int | None = None) -> TruncatedLaw:

@@ -372,8 +372,8 @@ def _walk_by_counts(rng: np.random.Generator, a: np.ndarray, n: int, cap: int):
     paths, so it never does more work per generation than the per-path
     walk.  The paths left are returned one entry each, with
     ``offset = total - pending - 1``: the customers already served less the
-    root that a new walk counts again (``None`` when no generation past the
-    first was drawn, where every offset is 0).
+    root that a new walk counts again (0 while no generation past the first
+    has been drawn).
 
     Returns ``(sizes, counts, censored, first, offset)``: the ended busy
     periods by size, the censored count, and the paths left over.
@@ -389,7 +389,7 @@ def _walk_by_counts(rng: np.random.Generator, a: np.ndarray, n: int, cap: int):
     counts = rng.multinomial(n, a)
     pending = np.flatnonzero(counts)
     total, count = pending + 1, counts[pending]
-    sizes, ended, censored, drawn = [], [], 0, False
+    sizes, ended, censored = [], [], 0
     while True:
         over = total > cap
         censored += int(count[over].sum())
@@ -403,9 +403,8 @@ def _walk_by_counts(rng: np.random.Generator, a: np.ndarray, n: int, cap: int):
         if int(pending.sum()) * width + pending.size > int(count.sum()):
             break  # a path-by-path generation is cheaper from here
         total, pending, count = _next_generation(rng, total, pending, count, power)
-        drawn = True
     first = np.repeat(pending, count)
-    offset = np.repeat(total - pending - 1, count) if drawn else None
+    offset = np.repeat(total - pending - 1, count)
     return np.concatenate(sizes), np.concatenate(ended), censored, first, offset
 
 
@@ -447,16 +446,15 @@ def simulate(
     except WindowOverflow:
         # the law cannot be cut below 2^-60 in MAX_ARRIVAL_WINDOW points
         sizes = counts = np.zeros(0, dtype=np.int64)
-        censored_count, offset = 0, None
+        censored_count, offset = 0, 0
         first = rng.poisson(lam * s.draw(rng, n))
     else:
         sizes, counts, censored_count, first, offset = _walk_by_counts(rng, a, n, cap)
     totals, censored = branching_totals(
         rng, first, lambda k: lam * s.draw(rng, k), cap
     )
-    if offset is not None:
-        totals += offset
-        censored |= totals > cap
+    totals += offset
+    censored |= totals > cap
     kept = totals[~censored]
     censored_count += totals.size - kept.size
     # histogram of the sizes: the count walk's ended states plus the walked paths

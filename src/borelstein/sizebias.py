@@ -51,7 +51,7 @@ def size_bias(w: TruncatedLaw) -> TruncatedLaw:
     mean = moments(w).mean
     probs = support * w.probs / mean
     tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
-    return _trusted(probs, tail, w.start)
+    return _trusted(probs, tail)
 
 
 def size_bias_tail_estimate(w: TruncatedLaw) -> float:
@@ -112,7 +112,7 @@ def geometric_sum_law(p: BorelParams, eps: float) -> TruncatedLaw:
     acc = np.fft.irfft((1.0 - lam) * q / (1.0 - lam * q), size)[1 : cap + 1]
     probs = np.maximum(acc, 0.0)
     tail = 1.0 - math.fsum(probs.tolist())
-    return _trusted(probs, tail, 1)
+    return _trusted(probs, tail)
 
 
 def _biased_cut(lam: float, target: float) -> int:

@@ -48,12 +48,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import borel
 from .borel import BorelParams
-from .errors import InsufficientWindow, MeanMismatch, WindowOverflow
+from .errors import MeanMismatch, WindowOverflow
 from .lawkit import TruncatedLaw, moments, tv_distance
 from .sizebias import mixture_rhs, size_bias
 
 MEAN_TOLERANCE = 1e-6  # relative slack on the mean hypothesis of the TV bound
 _HP_MAX_WINDOW = 20
+_HP_DPS = 50  # decimal digits of build_table_hp
 MAX_TABLE_WINDOW = 5000  # a 200 MB table; build_table refuses larger M
 
 
@@ -135,8 +136,8 @@ def build_table(p: BorelParams, M: int) -> SteinTable:
     return SteinTable(lam=lam, M=M, a=a, q=q)
 
 
-def build_table_hp(p: BorelParams, M: int, dps: int = 50):
-    """Same recursion at ``dps`` decimal digits, for measuring float drift.
+def build_table_hp(p: BorelParams, M: int):
+    """Same recursion at ``_HP_DPS`` decimal digits, for measuring float drift.
 
     The pmf has no exact rational form (it involves exp(-lam j)), so entries
     are pinned at high decimal precision instead.  Restricted to small
@@ -146,7 +147,7 @@ def build_table_hp(p: BorelParams, M: int, dps: int = 50):
 
     if M > _HP_MAX_WINDOW:
         raise ValueError(f"high-precision mode supports M <= {_HP_MAX_WINDOW}")
-    with mp.workdps(dps):
+    with mp.workdps(_HP_DPS):
         lam = mp.mpf(p.lam)
         q = [mp.mpf(0)] + [
             mp.e ** (-lam * j) * (lam * j) ** (j - 1) / mp.factorial(j)
@@ -212,12 +213,7 @@ def solve_f(h: np.ndarray, table: SteinTable) -> SteinSolution:
     return SteinSolution(f=f, trunc_error=trunc, e_h=e_h, table=table, hz_sup=hz_sup)
 
 
-def stein_residual(
-    sol: SteinSolution,
-    h: np.ndarray,
-    k,
-    accuracy: float | None = None,
-) -> ResidualReport:
+def stein_residual(sol: SteinSolution, h: np.ndarray, k) -> ResidualReport:
     """Defect of the equation at ``k`` for solved test functions.
 
     ``h`` is what :func:`solve_f` solved, a vector or an ``(n, M)`` stack,
@@ -231,8 +227,7 @@ def stein_residual(
     so in exact arithmetic the defect vanishes and ``residual`` measures
     floating-point drift alone.  ``remainder_bound`` bounds the terms the
     window ignores, via the solution envelope above M,
-    ``|f(j)| <= sol.hz_sup / ((1-lam)(j-1))``, times the pmf tail; passing
-    ``accuracy`` turns an oversized remainder into ``InsufficientWindow``.
+    ``|f(j)| <= sol.hz_sup / ((1-lam)(j-1))``, times the pmf tail.
     """
     table = sol.table
     M, lam = table.M, table.lam
@@ -256,10 +251,6 @@ def stein_residual(
     sums_q, _ = table._tail_sums
     # sums_q[M - k] = sum_{i > M-k} q(i)
     remainder = lam * k * hz_sup * sums_q[M - k] / M
-    if accuracy is not None and np.max(remainder) > accuracy:
-        raise InsufficientWindow(
-            f"window remainder {np.max(remainder):g} exceeds requested accuracy {accuracy:g}"
-        )
     if residual.ndim == 0:
         return ResidualReport(residual=float(residual), remainder_bound=float(remainder))
     return ResidualReport(residual=residual, remainder_bound=remainder)

@@ -241,7 +241,7 @@ class TestQueueCommands:
 
 
 COMMAND_FLAGS = {
-    "pmf": "lambda lambda-grid eps cap out format",
+    "pmf": "lambda eps cap out format",
     "stein-check": "lambda lambda-grid table-size seed quick out",
     "sb-check": "lambda lambda-grid seed quick out",
     "tails": "lambda lambda-grid seed quick out",

