@@ -11,11 +11,9 @@ from .borel import (
     BorelParams,
     law,
     log_pmf,
-    mean,
     pmf,
     pmf_values,
     sample_many,
-    variance,
 )
 from .concentration import (
     TailEstimate,
@@ -107,7 +105,6 @@ __all__ = [
     "lower_tail_bound",
     "make_law",
     "make_params",
-    "mean",
     "mgf_moment_check",
     "mix",
     "mixture_rhs",
@@ -129,6 +126,5 @@ __all__ = [
     "two_point",
     "uniform_symmetric",
     "upper_tail_bound",
-    "variance",
     "x_mean",
 ]

@@ -120,16 +120,6 @@ def _decay_rate(lam: float) -> float:
     return math.fsum(reversed(terms))
 
 
-def mean(p: BorelParams) -> float:
-    """Expected total progeny, 1 / (1 - lambda)."""
-    return p.mean
-
-
-def variance(p: BorelParams) -> float:
-    """Variance of the total progeny, lambda / (1 - lambda)^3."""
-    return p.variance
-
-
 def _log_pmf_array(lam: float, j: np.ndarray) -> np.ndarray:
     """log p(j) for a vector of indices j >= 1."""
     j = np.asarray(j, dtype=float)

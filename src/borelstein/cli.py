@@ -81,13 +81,16 @@ def _fmt(x) -> str:
 
 
 def _write_table(columns, rows, out: str | None, fmt: str) -> None:
+    _write_cells(columns, [[_fmt(v) for v in r] for r in rows], out, fmt)
+
+
+def _write_cells(columns, cells, out: str | None, fmt: str) -> None:
+    """Write rows of cells already formatted as strings, as CSV or JSON."""
     if fmt == "json":
-        payload = {"columns": columns, "rows": [[_fmt(v) for v in r] for r in rows]}
+        payload = {"columns": columns, "rows": cells}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(columns), *map(",".join, cells)]) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -151,8 +154,11 @@ def cmd_pmf(args, parser) -> int:
     # last row reads 1 - tail_mass rather than a cumsum's drift
     above = np.append(np.cumsum(L.probs[:0:-1])[::-1], 0.0) + L.tail_mass
     cdf = 1.0 - above
-    rows = [[j, L.probs[j - 1], cdf[j - 1]] for j in range(1, L.end + 1)]
-    _write_table(["j", "pmf", "cdf"], rows, args.out, args.format)
+    # formatted a column at a time: a law can hold 10^5 points and more
+    pmf_cells = map("{:.17g}".format, L.probs.tolist())
+    cdf_cells = map("{:.17g}".format, cdf.tolist())
+    cells = list(zip(map(str, range(1, L.end + 1)), pmf_cells, cdf_cells))
+    _write_cells(["j", "pmf", "cdf"], cells, args.out, args.format)
     return EXIT_OK
 
 
@@ -293,8 +299,7 @@ def cmd_stein_check(args, parser) -> int:
     if args.out and args.lam is not None:
         p = BorelParams(args.lam)
         a = stein.build_table(p, M).a
-        k, m = np.triu_indices(M - 1)  # rows 2 <= k <= m <= M, k-major
-        k, m = k + 2, m + 2
+        k, m = np.add(np.triu_indices(M - 1), 2)  # rows 2 <= k <= m <= M, k-major
         bound = stein.coefficient_bound(p, k, m - k)
         rows = list(zip(k.tolist(), m.tolist(), a[k, m].tolist(), bound.tolist()))
         table = Path(args.out) / "stein_table.csv"

@@ -137,29 +137,47 @@ def build_table(p: BorelParams, M: int) -> SteinTable:
 
 
 def build_table_hp(p: BorelParams, M: int):
-    """Same recursion at ``_HP_DPS`` decimal digits, for measuring float drift.
+    """The table in ``Decimal`` at ``_HP_DPS`` digits, for measuring float drift.
 
-    The pmf has no exact rational form (it involves exp(-lam j)), so entries
-    are pinned at high decimal precision instead.  Restricted to small
-    windows; the point is drift measurement, not production use.
+    With x = lam e^(-lam) the pmf is q(i) = x^i i^(i-1) / (lam i!), so
+    ``a[k, m] = x^(m-k) c[k, m]`` with the exact rationals c of
+    :func:`_free_coefficients`; each entry is one ``decimal`` product of c
+    with a power of x.  ``a[k][m]`` is zero outside 2 <= k <= m <= M.
+    Restricted to small windows; the point is drift measurement, not
+    production use.
     """
-    import mpmath as mp  # on call, so that importing the package skips mpmath
-
     if M > _HP_MAX_WINDOW:
         raise ValueError(f"high-precision mode supports M <= {_HP_MAX_WINDOW}")
-    with mp.workdps(_HP_DPS):
-        lam = mp.mpf(p.lam)
-        q = [mp.mpf(0)] + [
-            mp.e ** (-lam * j) * (lam * j) ** (j - 1) / mp.factorial(j)
-            for j in range(1, M + 1)
-        ]
-        a = [[mp.mpf(0)] * (M + 1) for _ in range(M + 1)]
-        for m in range(2, M + 1):
-            a[m][m] = mp.mpf(1) / (m - 1)
-            for k in range(m - 1, 1, -1):
-                s = mp.fsum(a[k + i][m] * q[i] for i in range(1, m - k + 1))
-                a[k][m] = k * lam / (k - 1) * s
-        return a
+    # decimal and fractions load on call: importing them costs the package's
+    # import about 2 ms, and only this drift mode uses them
+    from decimal import Decimal, localcontext
+
+    a = [[Decimal(0)] * (M + 1) for _ in range(M + 1)]
+    with localcontext() as ctx:
+        ctx.prec = _HP_DPS
+        lam = Decimal(p.lam)
+        x = lam * (-lam).exp()
+        for (k, m), c in _free_coefficients(M).items():
+            a[k][m] = x ** (m - k) * c.numerator / c.denominator
+    return a
+
+
+def _free_coefficients(M: int) -> dict:
+    """The rationals ``c[k, m] = a[k, m] / (lam e^(-lam))^(m-k)``, free of lam.
+
+    c[m, m] = 1/(m-1) and c[k, m] = (k/(k-1)) sum_{i=1}^{m-k} c[k+i, m] i^(i-1)/i!,
+    in exact arithmetic, keyed by (k, m) for 2 <= k <= m <= M.
+    """
+    from fractions import Fraction
+
+    w = [Fraction(i ** (i - 1), math.factorial(i)) for i in range(1, M + 1)]
+    c = {}
+    for m in range(2, M + 1):
+        c[m, m] = Fraction(1, m - 1)
+        for k in range(m - 1, 1, -1):
+            s = sum(c[k + i, m] * w[i - 1] for i in range(1, m - k + 1))
+            c[k, m] = Fraction(k, k - 1) * s
+    return c
 
 
 def coefficient_bound(p: BorelParams, k, j):

@@ -57,22 +57,24 @@ class TestPmf:
         assert "numeric failure" in err
 
     def test_near_critical_eps_is_certified_within_the_cap(self, capsys, monkeypatch):
-        # the window holds about 3.9e5 rows; keep them rather than format them
+        # the window holds about 3.9e5 rows; keep the cells rather than write them
         tables = []
         monkeypatch.setattr(
-            cli, "_write_table", lambda columns, rows, out, fmt: tables.append(list(rows))
+            cli, "_write_cells", lambda columns, cells, out, fmt: tables.append(cells)
         )
         argv = ["pmf", "--lambda", "0.99", "--eps", "1e-13"]
         code, _, _ = run(argv, capsys)
         assert code == 0
         (rows,) = tables
         L = borel.law(BorelParams(0.99), 1e-13)
-        assert len(rows) == L.end and rows[-1][:2] == [L.end, L.probs[-1]]
+        assert len(rows) == L.end
+        assert rows[-1][:2] == (str(L.end), f"{L.probs[-1]:.17g}")
         # the cdf is the complement of the mass above j: no summation drift
         probs = L.probs.tolist()
         for r in [0, 10, 10**3, 10**5, L.end - 1]:
-            assert rows[r][2] == pytest.approx(math.fsum(probs[: r + 1]), abs=2.3e-16)
-        assert rows[-1][2] == 1.0 - L.tail_mass
+            cdf = float(rows[r][2])
+            assert cdf == pytest.approx(math.fsum(probs[: r + 1]), abs=2.3e-16)
+        assert float(rows[-1][2]) == 1.0 - L.tail_mass
         code, _, err = run(argv + ["--cap", "1000"], capsys)
         assert code == 3
         assert "numeric failure" in err
@@ -419,3 +421,19 @@ class TestEntryPoints:
         proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]"]
+
+    def test_runs_without_mpmath(self, tmp_path):
+        # a None entry in sys.modules makes any import of mpmath fail
+        script = (
+            "import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "import borelstein\n"
+            "from borelstein import cli\n"
+            "hp = borelstein.build_table_hp(borelstein.BorelParams(0.5), 20)\n"
+            "print(float(hp[2][20]) > 0)\n"
+            f"sys.exit(cli.main(['report', '--quick', '--out', {str(tmp_path)!r}]))\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("True\n")
+        assert (tmp_path / "summary.json").exists()

@@ -1,11 +1,14 @@
 """Stein machinery tests: recursion, envelopes, residuals, TV bound, Abel oracle."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from borelstein import borel
+from borelstein import borel, stein
 from borelstein.borel import BorelParams
 from borelstein.errors import MeanMismatch, WindowOverflow
 from borelstein.lawkit import make_law, point_mass, tv_distance
@@ -167,6 +170,63 @@ class TestTable:
     def test_table_rejects_tiny_window(self):
         with pytest.raises(ValueError):
             build_table(BorelParams(0.5), 1)
+
+
+def mpmath_table(lam, M):
+    """Reference: the recursion over mpmath's pmf at 50 digits."""
+    with mp.workdps(50):
+        lam = mp.mpf(lam)
+        q = [mp.mpf(0)] + [
+            mp.e ** (-lam * j) * (lam * j) ** (j - 1) / mp.factorial(j)
+            for j in range(1, M + 1)
+        ]
+        a = [[mp.mpf(0)] * (M + 1) for _ in range(M + 1)]
+        for m in range(2, M + 1):
+            a[m][m] = mp.mpf(1) / (m - 1)
+            for k in range(m - 1, 1, -1):
+                s = mp.fsum(a[k + i][m] * q[i] for i in range(1, m - k + 1))
+                a[k][m] = k * lam / (k - 1) * s
+        return a
+
+
+class TestHighPrecision:
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 0.95, 0.999])
+    def test_matches_mpmath_recursion(self, lam):
+        hp = build_table_hp(BorelParams(lam), 20)
+        ref = mpmath_table(lam, 20)
+        with mp.workdps(60):
+            for k in range(21):
+                for m in range(21):
+                    assert isinstance(hp[k][m], Decimal)
+                    if not 2 <= k <= m:
+                        assert hp[k][m] == 0 and ref[k][m] == 0
+                        continue
+                    assert abs(mp.mpf(str(hp[k][m])) / ref[k][m] - 1) <= 1e-45
+                    # 50 digits pin the double: both round to the same float
+                    assert float(hp[k][m]) == float(ref[k][m])
+
+    def test_window_above_cap_is_refused(self):
+        with pytest.raises(ValueError):
+            build_table_hp(BorelParams(0.5), 21)
+
+    def test_free_coefficients_closed_forms(self):
+        # d = (k-1) c: d[k, k] = d[k, k+1] = 1, d[k, k+2] = (2k+1)/(k+1)
+        c = stein._free_coefficients(20)
+        for k in range(2, 21):
+            d = [(k - 1) * c[k, m] for m in range(k, 21)]
+            assert d[0] == 1
+            assert d[1:2] in ([], [1])
+            assert d[2:3] in ([], [Fraction(2 * k + 1, k + 1)])
+
+    def test_envelope_holds_exactly(self):
+        # |a[k, k+j]| <= j lam q(j)/(k-1) is d[k, k+j] <= j^j/j!, free of lam;
+        # equality at j = 0 and j = 1
+        c = stein._free_coefficients(20)
+        assert len(c) == 19 * 20 // 2
+        for (k, m), ckm in c.items():
+            j = m - k
+            d, cap = (k - 1) * ckm, Fraction(j**j, math.factorial(j))
+            assert d == cap if j <= 1 else 0 < d < cap
 
 
 class TestSolveF:
