@@ -30,8 +30,9 @@ to the same service.
 Every command is deterministic given its flags and ``--seed``; floats are
 printed with 17 significant digits so output round-trips exactly.  Exit
 codes: 0 all checks pass, 1 an assertion failed, 2 usage error (also an
-``--eps`` below machine epsilon or a negative ``--seed``), 3 numeric failure
-(window overflow, or a ``--table-size`` above ``stein.MAX_TABLE_WINDOW``).
+``--eps`` below machine epsilon, a negative ``--seed``, or an ``--out`` that
+cannot be written), 3 numeric failure (window overflow, or a
+``--table-size`` above ``stein.MAX_TABLE_WINDOW``).
 """
 
 from __future__ import annotations
@@ -391,6 +392,9 @@ def main(argv=None) -> int:
     except BorelSteinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
+    except OSError as exc:  # an --out that cannot be written, e.g. a directory for a file
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

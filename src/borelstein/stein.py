@@ -4,32 +4,30 @@ For a bounded test function h on {1, 2, ...} the equation
 
     h(k) - E[h(Z)] = (1-lam)(k-1) f(k) - lam (1-lam) k * sum_i f(i+k) q(i)
 
-(with Z Borel(lambda), q its pmf, and f(1) = 0) has the solution
+(with Z Borel(lambda), q its pmf, and f(1) = 0) is solved on a window M by
+back-substitution from k = M down to 2, with h_z = (h - E[h(Z)]) / (1 - lam):
 
-    f(k) = sum_{m >= k} a[k, m] * (h(m) - E[h(Z)]) / (1 - lam),   k >= 2,
+    f(k) = (k lam / (k-1)) * sum_{i=1}^{M-k} q(i) f(k+i) + h_z(k) / (k-1).
 
-where the coefficients satisfy a[k, k] = 1/(k-1) and
+Unrolled, f(k) = sum_{m >= k} a[k, m] h_z(m), where a[k, k] = 1/(k-1) and
 
-    a[k, m] = (k lam / (k-1)) * sum_{i=1}^{m-k} a[k+i, m] q(i).
+    a[k, m] = (k lam / (k-1)) * sum_{i=1}^{m-k} a[k+i, m] q(i),
 
-Each entry needs only entries of deeper rows, and the table is upper
-triangular (a[k+i, m] = 0 for k+i > m), so a whole row k follows from the
-finished rows below it as one matrix-vector product: the back-substitution
-of the triangular system U A = diag(1/(k lam)), with (k-1)/(k lam) on the
-diagonal of U and -q(i) on its i-th superdiagonal.  Every entry obeys
+the inverse of the triangular system the substitution solves.  The table is
+built a row at a time on first read of ``SteinTable.a``; only the envelope
+checks read it.  Every entry obeys
 ``|a[k, k+j]| <= j lam q(j) / (k-1)``, which yields the uniform solution
 bound ``sup_k |f(k)| <= 1/(1-lam)^2`` for test functions with values in
 [0, 1] and drives the computable comparison bound of :func:`size_bias_tv_bound`:
 
     TV(W, Borel(lam)) <= (1-lam)^-2 * TV(W*, (1-I) W + I (Z + W*)).
 
-A useful structural fact: truncating both the solution series and the
-equation's sum at the same window M keeps the equation *exactly* satisfied
-(the recursion is precisely the statement that the truncated pieces match),
-so the residual reported by :func:`stein_residual` isolates floating-point
-drift, while the window remainder is bounded separately: from tail sums of
-the table's own pmf window, summed from the far end, plus the certified
-geometric-ratio remainder ``borel._suffix_remainders`` beyond M.
+Truncating both the solution series and the equation's sum at the same
+window M keeps the equation *exactly* satisfied (that is what the recursion
+states), so the residual reported by :func:`stein_residual` isolates
+floating-point drift, while the window remainder is bounded separately: from
+tail sums of the table's own pmf window, summed from the far end, plus the
+certified geometric-ratio remainder ``borel._suffix_remainders`` beyond M.
 
 Both :func:`solve_f` and :func:`stein_residual` take an ``(n, M)`` stack of
 test functions as readily as one, and the residual takes an array of k, so
@@ -60,24 +58,36 @@ MAX_TABLE_WINDOW = 5000  # a 200 MB table; build_table refuses larger M
 
 @dataclass(frozen=True)
 class SteinTable:
-    """Triangular coefficient array for one (lambda, M) pair.
+    """The pmf window of one (lambda, M) pair; its coefficient table on first read.
 
-    ``a[k, m]`` is populated for 2 <= k <= m <= M and zero elsewhere;
-    ``q[j]`` caches the Borel pmf for 1 <= j <= M (``q[0]`` unused).
-    Immutable once built; share freely across threads.
+    ``q[j]`` caches the Borel pmf for 1 <= j <= M (``q[0]`` unused), all that
+    solves read.  Immutable once built; share freely across threads.
     """
 
     lam: float
     M: int
-    a: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        self.a.setflags(write=False)
         self.q.setflags(write=False)
 
-    def params(self) -> BorelParams:
-        return BorelParams(self.lam)
+    @cached_property
+    def a(self) -> np.ndarray:
+        """Read-only ``(M+1, M+1)`` table, ``a[k, m]`` for 2 <= k <= m <= M, zero elsewhere.
+
+        One matrix-vector product per row: O(M^3) flops, O(M^2) space.  All
+        terms are positive, so the entries carry a relative error near
+        machine epsilon (see :func:`build_table_hp`).
+        """
+        M, lam, q = self.M, self.lam, self.q
+        a = np.zeros((M + 1, M + 1))
+        a[M, M] = 1.0 / (M - 1)
+        for k in range(M - 1, 1, -1):
+            # rows k+1 .. M are finished, and a[k+i, m] = 0 for k+i > m
+            a[k, k + 1 :] = (k * lam / (k - 1)) * (q[1 : M - k + 1] @ a[k + 1 :, k + 1 :])
+            a[k, k] = 1.0 / (k - 1)
+        a.setflags(write=False)
+        return a
 
     @cached_property
     def _q_by_offset(self) -> np.ndarray:
@@ -110,14 +120,10 @@ ScaledBound = namedtuple("ScaledBound", ["lower", "upper"])
 
 
 def build_table(p: BorelParams, M: int) -> SteinTable:
-    """Coefficient table via the row recursion, one matrix-vector product per row.
+    """The table of one (lambda, M) pair: its pmf window now, ``a`` on first read.
 
-    Row k, for every m > k at once, is ``(k lam/(k-1)) * q[1:M-k+1] @ a[k+1:, k+1:]``:
-    M - 2 BLAS calls, O(M^3) flops in all, O(M^2) space.  All recursion terms
-    are positive, so there is no cancellation and double precision tracks the
-    exact values to a relative error near machine epsilon (see
-    :func:`build_table_hp`).  Raises ``WindowOverflow`` above
-    ``MAX_TABLE_WINDOW``.
+    Raises ``ValueError`` below M = 2 and ``WindowOverflow`` above
+    ``MAX_TABLE_WINDOW``, whether or not ``a`` is ever read.
     """
     if M < 2:
         raise ValueError(f"need M >= 2, got {M}")
@@ -125,15 +131,7 @@ def build_table(p: BorelParams, M: int) -> SteinTable:
         raise WindowOverflow(
             f"table window M = {M} exceeds MAX_TABLE_WINDOW = {MAX_TABLE_WINDOW}"
         )
-    lam = p.lam
-    q = np.concatenate([[0.0], borel.pmf_values(p, M)])
-    a = np.zeros((M + 1, M + 1))
-    a[M, M] = 1.0 / (M - 1)
-    for k in range(M - 1, 1, -1):
-        # rows k+1 .. M are finished, and a[k+i, m] = 0 for k+i > m
-        a[k, k + 1 :] = (k * lam / (k - 1)) * (q[1 : M - k + 1] @ a[k + 1 :, k + 1 :])
-        a[k, k] = 1.0 / (k - 1)
-    return SteinTable(lam=lam, M=M, a=a, q=q)
+    return SteinTable(lam=p.lam, M=M, q=np.concatenate([[0.0], borel.pmf_values(p, M)]))
 
 
 def build_table_hp(p: BorelParams, M: int):
@@ -206,8 +204,8 @@ def solve_f(h: np.ndarray, table: SteinTable) -> SteinSolution:
     it comes from the coefficient envelope and the table's certified tail
     sums of ``j q(j)``.  ``hz_sup`` is ``sup_k |h_z(k)|`` for
     ``h_z = (h - E[h(Z)]) / (1 - lam)``, with h = 0 above the window, one per
-    test function.  Each row is solved by its own matrix-vector product, so
-    a stacked row equals the solution of that row alone bit for bit.
+    test function.  The back-substitution's inner sums reduce within each
+    row, so a stacked row equals the solution of that row alone bit for bit.
     """
     M, lam = table.M, table.lam
     h = np.asarray(h, dtype=float)
@@ -218,10 +216,12 @@ def solve_f(h: np.ndarray, table: SteinTable) -> SteinSolution:
     h_z = np.zeros((rows.shape[0], M + 1))
     h_z[:, 1:] = (rows - e_h[:, None]) / (1.0 - lam)
     hz_sup = np.maximum(np.abs(h_z).max(axis=1), np.abs(e_h) / (1.0 - lam))
-    f = np.empty_like(h_z)
-    for f_row, z in zip(f, h_z):
-        np.matmul(table.a, z, out=f_row)
-    f[:, :2] = 0.0
+    f = np.zeros_like(h_z)
+    for k in range(M, 1, -1):
+        # f(k+1) .. f(M) are finished; einsum sums within each row, where a
+        # BLAS product over the stack could round rows differently
+        inner = np.einsum("ij,j->i", f[:, k + 1 :], table.q[1 : M - k + 1])
+        f[:, k] = (k * lam / (k - 1)) * inner + h_z[:, k] / (k - 1)
     _, sums_jq = table._tail_sums
     k = np.arange(2, M + 1)
     trunc = np.zeros(M + 1)

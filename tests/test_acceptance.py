@@ -117,3 +117,16 @@ def test_stacked_suites_match_one_solve_per_test_function():
                 float(np.max(fv - (sharper + slack))),
             )
         assert seven.rows[cell][2] == excess
+
+
+@pytest.mark.parametrize("M", [2 * acceptance.ENVELOPE_BLOCK_ROWS + 3, 60])
+def test_envelope_blocks_match_the_whole_triangle(M):
+    """Suite 4 compares the table in blocks of rows; the excess is the whole triangle's."""
+    grid = (0.1, 0.5, 0.9)
+    got = acceptance.run_stein_envelope(SEED, grid=grid, M=M)
+    for row, lam in zip(got.rows, grid):
+        p = BorelParams(lam)
+        a = stein.build_table(p, M).a
+        k, m = np.add(np.triu_indices(M - 1, 1), 2)
+        excess = np.abs(a[k, m]) - stein.coefficient_bound(p, k, m - k)
+        assert row[2] == float(excess.max())

@@ -315,6 +315,26 @@ class TestFlags:
         assert f"usage: borelstein {command}" in err
         assert "--seed must be >= 0" in err
 
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["pmf", "--lambda", "0.5"], "dir"),
+            (["queue-bounds", "--lambda", "0.3"], "dir"),
+            (["queue-sim", "--lambda", "0.3", "--n", "9"], "dir"),
+            (["report", "--quick"], "file"),
+            (["stein-check", "--lambda", "0.3", "--table-size", "3"], "file"),
+        ],
+        ids=["pmf", "queue-bounds", "queue-sim", "report", "stein-check"],
+    )
+    def test_unwritable_out_is_usage_error(self, argv, target, capsys, tmp_path):
+        # file commands get a directory, directory commands a file
+        out = tmp_path / target
+        out.mkdir() if target == "dir" else out.write_text("")
+        code, stdout, err = run([*argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("cannot write output:") and err.count("\n") == 1
+
 
 class TestSbCheck:
     def test_runs_suites_2_3_12(self, capsys, tmp_path):

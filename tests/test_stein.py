@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from borelstein import borel, stein
+from borelstein.acceptance import mean_matched_borel_window
 from borelstein.borel import BorelParams
 from borelstein.errors import MeanMismatch, WindowOverflow
 from borelstein.lawkit import make_law, point_mass, tv_distance
@@ -25,21 +26,6 @@ from borelstein.stein import (
 )
 
 GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-
-
-def mean_matched_borel_window(lam, eps=1e-10):
-    """Borel window renormalized to a zero-tail law with exactly matched mean.
-
-    A small mass shift between the first two support points pins the mean to
-    1/(1-lam) exactly, so the TV-bound hypothesis holds with no slack.
-    """
-    L = borel.law(BorelParams(lam), eps)
-    probs = np.array(L.probs / (L.window_sum()))
-    target = 1.0 / (1.0 - lam)
-    delta = target - float(np.dot(np.arange(1.0, probs.size + 1.0), probs))
-    probs[0] -= delta
-    probs[1] += delta
-    return make_law(probs)
 
 
 def column_descent_table(p, M):
@@ -429,6 +415,26 @@ class TestStackedSolve:
         t = build_table(BorelParams(0.5), 30)
         sol = solve_f(np.ones((1, 30)), t)
         assert sol.f.shape == (1, 31) and sol.e_h.shape == (1,)
+
+    @pytest.mark.parametrize("M", [60, 400])
+    @pytest.mark.parametrize("lam", GRID)
+    def test_back_substitution_matches_the_table(self, lam, M):
+        t = build_table(BorelParams(lam), M)
+        hs = np.random.default_rng(83).uniform(-1.0, 1.0, size=(5, M))
+        sol = solve_f(hs, t)
+        h_z = np.zeros((5, M + 1))
+        h_z[:, 1:] = (hs - sol.e_h[:, None]) / (1.0 - lam)
+        want = h_z @ t.a.T  # a's rows 0 and 1 are zero, as f(0) and f(1) are
+        assert np.abs(sol.f - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_solves_never_build_the_table(self):
+        t = build_table(BorelParams(0.5), 1000)
+        hs = np.random.default_rng(89).random((3, 1000))
+        sol = solve_f(hs, t)
+        stein_residual(sol, hs, np.arange(2, 1000))
+        assert "a" not in vars(t)
+        assert t.a[2, 2] == 1.0 and "a" in vars(t)
+        assert not t.a.flags.writeable
 
     @pytest.mark.parametrize("shape", [(29,), (31,), (2, 29), (2, 3, 30), ()])
     def test_wrong_shape_rejected(self, shape):
